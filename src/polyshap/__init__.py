@@ -1,7 +1,6 @@
 """Shapley value estimation via interaction-aware weighted least-squares regression."""
 
 from .coalitions import (
-    BinomialTable,
     Coalition,
     binomial,
     enumerate_subsets,
@@ -42,11 +41,11 @@ from .games import (
     LookupGame,
     LookupMissError,
     MobiusGame,
+    NonFiniteValueError,
     load_game,
     load_lookup_game,
     load_mobius_game,
     make_random_game,
-    mobius_evaluate,
     mobius_exact_shapley,
     save_mobius_game,
 )

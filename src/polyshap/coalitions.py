@@ -1,15 +1,23 @@
-"""Coalitions as fixed-capacity bitsets, binomial tables, and kernel weights.
+"""Coalitions as fixed-capacity bitsets, the mask codec, and kernel weights.
 
 Players are indexed 0..d-1 internally; all user-facing text renders them
 1-based. A coalition is stored as an integer bitmask where bit i set means
 player i is present. The textual form is a binary string of length d with
 player 0 leftmost, e.g. "1010" is {0, 2} for d=4.
+
+Batches of masks enter numpy through one codec, ``membership``, an (n, d)
+boolean array. Both linear maps of the estimator are built on it: the
+containment kernel 1[T subseteq S] (design entries) and the fold
+1[i in T] / |T| (coefficients to Shapley values).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+import numpy as np
 
 MAX_PLAYERS = 128
 
@@ -108,41 +116,11 @@ class Coalition:
         return "{" + ",".join(str(i + 1) for i in self.members()) + "}"
 
 
-class BinomialTable:
-    """Exact binomial coefficients C(n, k) for n <= max_n, via the Pascal recurrence."""
-
-    def __init__(self, max_n: int) -> None:
-        if max_n < 0:
-            raise ValueError("max_n must be nonnegative")
-        self.max_n = max_n
-        rows: list[list[int]] = [[1]]
-        for n in range(1, max_n + 1):
-            prev = rows[-1]
-            row = [1] * (n + 1)
-            for k in range(1, n):
-                row[k] = prev[k - 1] + prev[k]
-            rows.append(row)
-        self._rows = rows
-
-    def value(self, n: int, k: int) -> int:
-        if n < 0 or n > self.max_n:
-            raise ValueError(f"n={n} outside table range [0, {self.max_n}]")
-        if k < 0 or k > n:
-            return 0
-        return self._rows[n][k]
-
-
-_TABLE = BinomialTable(0)
-
-
 def binomial(n: int, k: int) -> int:
     """C(n, k) as an exact integer; 0 outside the triangle."""
-    global _TABLE
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > _TABLE.max_n:
-        _TABLE = BinomialTable(max(n, 2 * _TABLE.max_n, MAX_PLAYERS))
-    return _TABLE.value(n, k)
+    return math.comb(n, k) if k >= 0 else 0
 
 
 def shapley_weight(s: int, d: int) -> float:
@@ -185,3 +163,36 @@ def enumerate_subsets(d: int, size: int) -> Iterator[Coalition]:
     """Coalitions of a fixed size, in the deterministic colexicographic order."""
     for mask in enumerate_subset_masks(d, size):
         yield Coalition(mask, d)
+
+
+def membership(masks: Sequence[int], d: int) -> np.ndarray:
+    """Boolean (n, d) array: entry (r, i) says player i is in coalition masks[r]."""
+    width = (d + 7) // 8
+    raw = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return bits.reshape(len(masks), 8 * width)[:, :d].view(bool)
+
+
+def containment(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Float (n, k) 0/1 array with entry (r, j) = 1[T_j subseteq S_r].
+
+    ``rows`` and ``columns`` are membership arrays of the S_r and the T_j.
+    T is inside S exactly when S holds all |T| members of T, so one matrix
+    product counts the shared members and the count is compared in place.
+    """
+    counts = rows.astype(float) @ columns.T.astype(float)
+    np.equal(counts, columns.sum(axis=1), out=counts)
+    return counts
+
+
+def fold(columns: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """Split each coefficient evenly over its coalition: out[i] = sum_T 1[i in T] c_T / |T|.
+
+    ``columns`` is the membership array of the coalitions T (none empty).
+    Shares are added term by term, members ascending, so every sum is
+    accumulated in a fixed order and reproduces bit for bit.
+    """
+    term, player = np.nonzero(columns)
+    out = np.zeros(columns.shape[1])
+    np.add.at(out, player, (coefficients / columns.sum(axis=1))[term])
+    return out

@@ -16,8 +16,8 @@ from typing import Any
 
 import numpy as np
 
-from .coalitions import Coalition, binomial, enumerate_subset_masks
-from .frontier import InteractionFrontier, empty_frontier
+from .coalitions import Coalition, fold, membership
+from .frontier import InteractionFrontier, empty_frontier, k_additive
 from .games import Game
 from .regression import build_design, solve_constrained
 from .sampling import SampleBatch, SamplerConfig, sample
@@ -51,42 +51,24 @@ class AttributionResult:
 def polyshap_to_sv(rep: np.ndarray, frontier: InteractionFrontier) -> np.ndarray:
     """Fold interaction coefficients onto players: each term splits evenly over its members.
 
-    Runs in O(sum of term sizes) and preserves the coefficient sum.
+    Preserves the coefficient sum.
     """
     rep = np.asarray(rep, dtype=float)
-    d = frontier.d
     if rep.shape != (frontier.n_columns,):
         raise ValueError(
             f"representation length {rep.shape} does not match d'={frontier.n_columns}"
         )
-    sv = rep[:d].copy()
-    for j, term in enumerate(frontier.terms):
-        share = rep[d + j] / term.size()
-        for i in term.members():
-            sv[i] += share
-    return sv
+    return fold(membership(frontier.column_masks, frontier.d), rep)
 
 
 def project_2poly_to_sv(rep2: np.ndarray) -> np.ndarray:
-    """Project a pairs-frontier representation down to d values by explicit matrix product."""
+    """Project a pairs-frontier representation (pairs in colexicographic order) down to d values."""
     rep2 = np.asarray(rep2, dtype=float)
     length = rep2.shape[0]
     d = int((math.isqrt(8 * length + 1) - 1) // 2)
     if d * (d + 1) // 2 != length:
         raise ValueError(f"length {length} is not d + C(d,2) for any integer d")
-    return pair_projection_matrix(d) @ rep2
-
-
-def pair_projection_matrix(d: int) -> np.ndarray:
-    """The d x (d + C(d,2)) matrix with entry 1[i in S]/|S| (pairs in colexicographic order)."""
-    d2 = d + binomial(d, 2)
-    mat = np.zeros((d, d2))
-    mat[:, :d] = np.eye(d)
-    for j, mask in enumerate(enumerate_subset_masks(d, 2)):
-        for i in range(d):
-            if mask >> i & 1:
-                mat[i, d + j] = 0.5
-    return mat
+    return polyshap_to_sv(rep2, k_additive(d, 2))
 
 
 def _efficiency_gap(shapley: np.ndarray, constraint: float) -> float:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -433,30 +433,22 @@ def _fmt(x: float) -> str:
     return format(float(x), FLOAT_FORMAT)
 
 
-def rows_to_csv(rows: Sequence[MetricsRow], skipped: Sequence[SkippedCell], metrics: Sequence[str]) -> str:
-    """Canonical CSV: absent cells carry the literal marker 'absent' instead of numbers."""
+def _csv_fields(row: MetricsRow) -> tuple:
+    return (
+        row.game_id,
+        row.method,
+        row.frontier,
+        row.paired,
+        row.budget,
+        row.metric,
+        _fmt(row.mean),
+        _fmt(row.sem),
+        str(row.n_runs),
+    )
+
+
+def _csv_text(entries: Iterable[tuple]) -> str:
     lines = ["game,method,frontier,paired,budget,metric,mean,sem,n_runs"]
-    entries: list[tuple] = []
-    for row in rows:
-        entries.append(
-            (
-                row.game_id,
-                row.method,
-                row.frontier,
-                row.paired,
-                row.budget,
-                row.metric,
-                _fmt(row.mean),
-                _fmt(row.sem),
-                str(row.n_runs),
-            )
-        )
-    for cell in skipped:
-        for metric in metrics:
-            entries.append(
-                (cell.game_id, cell.method, cell.frontier, cell.paired, cell.budget, metric, "absent", "absent", "0")
-            )
-    entries.sort(key=lambda e: (e[0], e[1], e[2], e[3], e[4], e[5]))
     for e in entries:
         lines.append(
             f"{e[0]},{e[1]},{e[2]},{'true' if e[3] else 'false'},{e[4]},{e[5]},{e[6]},{e[7]},{e[8]}"
@@ -464,23 +456,22 @@ def rows_to_csv(rows: Sequence[MetricsRow], skipped: Sequence[SkippedCell], metr
     return "\n".join(lines) + "\n"
 
 
-def per_instance_csv(runs: Sequence[RunRecord], metrics: Sequence[str]) -> str:
-    lines = ["game,method,frontier,paired,budget,metric,mean,sem,n_runs"]
-    grouped: dict[tuple, list[RunRecord]] = {}
-    for run in runs:
-        key = (f"{run.game_id}#{run.instance}", run.method, run.frontier, run.paired, run.budget)
-        grouped.setdefault(key, []).append(run)
-    for key in sorted(grouped):
-        bucket = grouped[key]
+def rows_to_csv(rows: Sequence[MetricsRow], skipped: Sequence[SkippedCell], metrics: Sequence[str]) -> str:
+    """Canonical CSV: absent cells carry the literal marker 'absent' instead of numbers."""
+    entries = [_csv_fields(row) for row in rows]
+    for cell in skipped:
         for metric in metrics:
-            vals = np.array([r.metrics[metric] for r in bucket])
-            n = len(vals)
-            sem = float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-            lines.append(
-                f"{key[0]},{key[1]},{key[2]},{'true' if key[3] else 'false'},{key[4]},"
-                f"{metric},{_fmt(float(vals.mean()))},{_fmt(sem)},{n}"
+            entries.append(
+                (cell.game_id, cell.method, cell.frontier, cell.paired, cell.budget, metric, "absent", "absent", "0")
             )
-    return "\n".join(lines) + "\n"
+    entries.sort(key=lambda e: (e[0], e[1], e[2], e[3], e[4], e[5]))
+    return _csv_text(entries)
+
+
+def per_instance_csv(runs: Sequence[RunRecord], metrics: Sequence[str]) -> str:
+    """One row per (game#instance, method, frontier, paired, budget, metric), metrics in config order."""
+    keyed = [replace(run, game_id=f"{run.game_id}#{run.instance}") for run in runs]
+    return _csv_text(_csv_fields(row) for row in aggregate_runs(keyed, metrics))
 
 
 def plot_data(result: BenchmarkResult) -> dict[str, Any]:

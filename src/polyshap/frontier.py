@@ -44,6 +44,11 @@ class InteractionFrontier:
         """Total regression columns d' = d + number of interaction terms."""
         return self.d + len(self.terms)
 
+    @property
+    def column_masks(self) -> list[int]:
+        """Masks of the d' regression columns: the singletons, then the terms."""
+        return [1 << i for i in range(self.d)] + [t.mask for t in self.terms]
+
     def __len__(self) -> int:
         return len(self.terms)
 

@@ -2,17 +2,19 @@
 
 A game maps coalitions to real values. Every ``evaluate`` call consumes one
 unit of budget (the counter is monotone), while the actual computation is
-cached per coalition so repeated rows are cheap but never free.
+cached per coalition so repeated rows are cheap but never free. A computed
+value that is not finite raises ``NonFiniteValueError``.
 """
 
 from __future__ import annotations
 
+import math
 import threading
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .coalitions import Coalition, binomial, _check_d
+from .coalitions import Coalition, binomial, fold, membership, _check_d
 
 
 class GameFileError(ValueError):
@@ -28,6 +30,18 @@ class LookupMissError(KeyError):
 
     def __str__(self) -> str:
         return f"coalition {self.bitstring} not present in lookup table"
+
+
+class NonFiniteValueError(ValueError):
+    """A game returned NaN or an infinity for a coalition."""
+
+    def __init__(self, bitstring: str, value: float) -> None:
+        super().__init__(bitstring, value)
+        self.bitstring = bitstring
+        self.value = value
+
+    def __str__(self) -> str:
+        return f"game value {self.value!r} at coalition {self.bitstring} is not finite"
 
 
 class Game:
@@ -54,6 +68,8 @@ class Game:
         value = self._cache.get(coalition.mask)
         if value is None:
             value = float(self._value(coalition))
+            if not math.isfinite(value):
+                raise NonFiniteValueError(coalition.bitstring(), value)
             self._cache[coalition.mask] = value
         return value
 
@@ -81,27 +97,15 @@ class MobiusGame(Game):
         return sum(c for t, c in self.terms.items() if t & ~mask == 0)
 
 
-def mobius_evaluate(game: MobiusGame, coalition: Coalition) -> float:
-    """Evaluate a coefficient-based game (counted against its budget)."""
-    return game.evaluate(coalition)
-
-
 def mobius_exact_shapley(game: MobiusGame) -> np.ndarray:
     """Exact Shapley values of a coefficient-based game.
 
     Each term of size t splits its coefficient evenly over its t members;
     the constant term contributes to nobody.
     """
-    phi = np.zeros(game.d)
-    for mask, coef in game.terms.items():
-        if mask == 0:
-            continue
-        t = mask.bit_count()
-        share = coef / t
-        for i in range(game.d):
-            if mask >> i & 1:
-                phi[i] += share
-    return phi
+    masks = [mask for mask in game.terms if mask != 0]
+    coefs = np.array([game.terms[mask] for mask in masks])
+    return fold(membership(masks, game.d), coefs)
 
 
 def make_random_game(d: int, max_order: int, n_terms: int, seed: int) -> MobiusGame:
@@ -220,17 +224,3 @@ def dump_lookup_file(game: Game, path: str) -> None:
         for mask in range(1 << game.d):
             c = Coalition(mask, game.d)
             fh.write(f"{c.bitstring()},{game.evaluate(c)!r}\n")
-
-
-def all_values(game: Game) -> np.ndarray:
-    """Vector of game values over every mask 0..2^d-1 (consumes 2^d evaluations)."""
-    if game.d > 24:
-        raise ValueError(f"full tables need d <= 24, got d={game.d}")
-    return np.array(
-        [game.evaluate(Coalition(mask, game.d)) for mask in range(1 << game.d)]
-    )
-
-
-def game_from_masks(d: int, values: Iterable[tuple[int, float]]) -> LookupGame:
-    """Convenience constructor for tests and tools."""
-    return LookupGame(d, dict(values))

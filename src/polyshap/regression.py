@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coalitions import Coalition, shapley_weight
+from .coalitions import Coalition, containment, membership, shapley_weight
 from .frontier import InteractionFrontier
 from .games import Game
 
@@ -39,25 +39,10 @@ class SolveReport:
     singular_value_cutoff: float
 
 
-def membership_matrix(masks: list[int] | np.ndarray, d: int) -> np.ndarray:
-    """Boolean (n, d) matrix: entry (r, i) says player i is in row r's coalition."""
-    out = np.empty((len(masks), d), dtype=bool)
-    for i in range(d):
-        bit = 1 << i
-        out[:, i] = [bool(m & bit) for m in masks]
-    return out
-
-
-def indicator_columns(
-    membership: np.ndarray, frontier: InteractionFrontier
-) -> np.ndarray:
+def design_columns(masks: list[int], frontier: InteractionFrontier) -> np.ndarray:
     """(n, d') 0/1 matrix over singleton columns then frontier term columns."""
-    n, d = membership.shape
-    cols = np.empty((n, frontier.n_columns), dtype=float)
-    cols[:, :d] = membership
-    for j, term in enumerate(frontier.terms):
-        cols[:, d + j] = membership[:, list(term.members())].all(axis=1)
-    return cols
+    d = frontier.d
+    return containment(membership(masks, d), membership(frontier.column_masks, d))
 
 
 def build_design(batch, frontier: InteractionFrontier) -> DesignSystem:
@@ -68,10 +53,9 @@ def build_design(batch, frontier: InteractionFrontier) -> DesignSystem:
     """
     if batch.d != frontier.d:
         raise ValueError(f"dimension mismatch: batch d={batch.d}, frontier d={frontier.d}")
-    membership = membership_matrix(batch.masks, batch.d)
-    cols = indicator_columns(membership, frontier)
+    matrix = design_columns(batch.masks, frontier)
     weights = np.asarray(batch.weights, dtype=float)
-    matrix = cols * weights[:, None]
+    matrix *= weights[:, None]
     target = weights * (np.asarray(batch.values, dtype=float) - batch.nu_empty)
     columns = tuple(Coalition(1 << i, batch.d) for i in range(batch.d)) + frontier.terms
     return DesignSystem(
@@ -128,18 +112,18 @@ def solve_constrained(system: DesignSystem) -> SolveReport:
     return constrained_lstsq(system.matrix, system.target, system.constraint_value)
 
 
+def _sqrt_kernel_weights(masks: range, d: int) -> np.ndarray:
+    return np.sqrt([shapley_weight(m.bit_count(), d) for m in masks])
+
+
 def full_design_matrix(d: int, frontier: InteractionFrontier) -> np.ndarray:
     """The deterministic 2^d x d' design with sqrt-kernel-weight rows (zero at extremes)."""
     if d > 14:
         raise ValueError(f"full design needs d <= 14, got d={d}")
-    masks = np.arange(1 << d)
-    membership = np.array(
-        [(masks >> i) & 1 for i in range(d)], dtype=bool
-    ).T
-    cols = indicator_columns(membership, frontier)
-    sizes = membership.sum(axis=1)
-    weights = np.sqrt([shapley_weight(int(s), d) for s in sizes])
-    return cols * weights[:, None]
+    masks = range(1 << d)
+    matrix = design_columns(masks, frontier)
+    matrix *= _sqrt_kernel_weights(masks, d)[:, None]
+    return matrix
 
 
 def solve_exact_full(game: Game, frontier: InteractionFrontier) -> SolveReport:
@@ -151,11 +135,8 @@ def solve_exact_full(game: Game, frontier: InteractionFrontier) -> SolveReport:
         raise ValueError(f"dimension mismatch: game d={d}, frontier d={frontier.d}")
     nu_empty = game.evaluate(Coalition.empty(d))
     nu_full = game.evaluate(Coalition.full(d))
-    masks = [m for m in range(1 << d) if m != 0 and m != (1 << d) - 1]
-    membership = membership_matrix(masks, d)
-    cols = indicator_columns(membership, frontier)
-    weights = np.sqrt([shapley_weight(m.bit_count(), d) for m in masks])
-    matrix = cols * weights[:, None]
+    masks = range(1, (1 << d) - 1)
     values = np.array([game.evaluate(Coalition(m, d)) for m in masks])
-    target = weights * (values - nu_empty)
+    target = _sqrt_kernel_weights(masks, d) * (values - nu_empty)
+    matrix = full_design_matrix(d, frontier)[1:-1]
     return constrained_lstsq(matrix, target, nu_full - nu_empty)

@@ -87,12 +87,6 @@ class SampleBatch:
         if len(w) and not (np.isfinite(w).all() and (w > 0).all()):
             raise ValueError("row weights must be strictly positive and finite")
 
-    def rows(self) -> list[tuple[Coalition, float, float]]:
-        return [
-            (Coalition(m, self.d), float(w), float(v))
-            for m, w, v in zip(self.masks, self.weights, self.values)
-        ]
-
 
 class _Stratum:
     """Without-replacement draws from the coalitions of one size."""

@@ -1,18 +1,22 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyshap.coalitions import (
-    BinomialTable,
     Coalition,
     InvalidDimensionError,
     binomial,
+    containment,
     enumerate_subset_masks,
     enumerate_subsets,
+    fold,
+    membership,
     shapley_weight,
 )
+from polyshap.frontier import k_additive
 
 
 class TestCoalition:
@@ -65,16 +69,13 @@ class TestCoalition:
 
 
 class TestBinomial:
-    def test_pascal_recurrence_matches_math_comb(self):
-        table = BinomialTable(20)
-        for n in range(21):
-            for k in range(n + 1):
-                assert table.value(n, k) == math.comb(n, k)
-
     def test_outside_triangle_is_zero(self):
-        table = BinomialTable(5)
-        assert table.value(5, 6) == 0
-        assert table.value(5, -1) == 0
+        assert binomial(5, 6) == 0
+        assert binomial(5, -1) == 0
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError):
+            binomial(-1, 0)
 
     def test_large_values_exact(self):
         # exceeds 64 bits
@@ -129,3 +130,70 @@ class TestEnumerateSubsets:
     def test_size_above_d_rejected(self):
         with pytest.raises(ValueError):
             list(enumerate_subsets(3, 4))
+
+
+BOUNDARY_DIMS = (1, 7, 8, 9, 63, 64, 65, 127, 128)
+
+
+def masks_for(d):
+    return st.lists(st.integers(0, (1 << d) - 1), max_size=12)
+
+
+def old_fold(columns, coefficients, d):
+    """The per-term loop the fold replaced: each share added member by member."""
+    out = np.zeros(d)
+    for mask, coef in zip(columns, coefficients):
+        share = coef / mask.bit_count()
+        for i in range(d):
+            if mask >> i & 1:
+                out[i] += share
+    return out
+
+
+class TestMembership:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(BOUNDARY_DIMS), st.data())
+    def test_matches_bit_shifts(self, d, data):
+        masks = data.draw(masks_for(d))
+        got = membership(masks, d)
+        assert got.shape == (len(masks), d)
+        assert got.dtype == bool
+        expected = [[bool(m >> i & 1) for i in range(d)] for m in masks]
+        assert got.tolist() == expected
+
+    def test_highest_player(self):
+        got = membership([1 << 127, 1], 128)
+        assert got[0].nonzero()[0].tolist() == [127]
+        assert got[1].nonzero()[0].tolist() == [0]
+
+
+class TestContainment:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(BOUNDARY_DIMS), st.data())
+    def test_matches_mask_subset_test(self, d, data):
+        rows = data.draw(masks_for(d))
+        cols = data.draw(masks_for(d))
+        got = containment(membership(rows, d), membership(cols, d))
+        assert got.dtype == float
+        expected = [[float(t & ~s == 0) for t in cols] for s in rows]
+        assert got.tolist() == expected
+
+
+class TestFold:
+    @pytest.mark.parametrize("d", [3, 8, 12])
+    def test_bit_identical_to_per_term_loop(self, d):
+        frontier = k_additive(d, 3)
+        columns = frontier.column_masks
+        coefs = np.random.default_rng(d).standard_normal(len(columns))
+        got = fold(membership(columns, d), coefs)
+        assert np.array_equal(got, old_fold(columns, coefs, d))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(BOUNDARY_DIMS), st.data())
+    def test_bit_identical_on_random_terms(self, d, data):
+        columns = data.draw(st.lists(st.integers(1, (1 << d) - 1), max_size=12))
+        coefs = np.array(
+            data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(columns), max_size=len(columns)))
+        )
+        got = fold(membership(columns, d), coefs)
+        assert np.array_equal(got, old_fold(columns, coefs, d))

@@ -7,7 +7,6 @@ from polyshap.coalitions import Coalition
 from polyshap.estimators import (
     kernelshap,
     kernelshap_from_batch,
-    pair_projection_matrix,
     permutation_baseline,
     polyshap,
     polyshap_from_batch,
@@ -16,7 +15,13 @@ from polyshap.estimators import (
 )
 from polyshap.evaluation import bruteforce_shapley
 from polyshap.frontier import InteractionFrontier, empty_frontier, k_additive
-from polyshap.games import LookupGame, MobiusGame, make_random_game, mobius_exact_shapley
+from polyshap.games import (
+    LookupGame,
+    MobiusGame,
+    NonFiniteValueError,
+    make_random_game,
+    mobius_exact_shapley,
+)
 from polyshap.regression import build_design
 from polyshap.sampling import SampleBatch, SamplerConfig, sample
 
@@ -79,7 +84,8 @@ class TestProject2Poly:
             project_2poly_to_sv(np.zeros(11))
 
     def test_matrix_entries(self):
-        m = pair_projection_matrix(3)
+        # the fold of k_additive(3, 2), read off column by column
+        m = np.column_stack([project_2poly_to_sv(e) for e in np.eye(6)])
         # columns: {0},{1},{2},{0,1},{0,2},{1,2}
         expected = np.array(
             [
@@ -311,6 +317,37 @@ class TestPermutationBaseline:
         runs = np.array(runs)
         sem = runs.std(axis=0, ddof=1) / np.sqrt(len(runs))
         assert np.all(np.abs(runs.mean(axis=0) - truth) <= 4 * sem + 1e-12)
+
+
+class TestNonFiniteGameValues:
+    @staticmethod
+    def nan_at_grand(d=3):
+        table = {m: float(m.bit_count()) for m in range(1 << d)}
+        table[(1 << d) - 1] = float("nan")
+        return LookupGame(d, table)
+
+    def test_permutation_baseline_raises(self):
+        with pytest.raises(NonFiniteValueError, match="111"):
+            permutation_baseline(self.nan_at_grand(), budget_m=10, seed=0)
+
+    def test_polyshap_raises(self):
+        with pytest.raises(NonFiniteValueError, match="not finite"):
+            polyshap(self.nan_at_grand(), k_additive(3, 2), SamplerConfig(budget_m=8, seed=0))
+
+    def test_infinite_row_value_raises(self):
+        table = {m: 1.0 for m in range(16)}
+        table[0b0110] = float("-inf")
+        with pytest.raises(NonFiniteValueError) as info:
+            kernelshap(LookupGame(4, table), SamplerConfig(budget_m=16, seed=0))
+        assert info.value.bitstring == "0110"
+        assert isinstance(info.value, ValueError)
+
+    def test_non_finite_value_is_not_cached(self):
+        g = self.nan_at_grand()
+        for _ in range(2):
+            with pytest.raises(NonFiniteValueError):
+                g.evaluate(Coalition.full(3))
+        assert g.eval_counter == 2
 
 
 class TestHighDimensional:

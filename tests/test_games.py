@@ -11,7 +11,6 @@ from polyshap.games import (
     load_lookup_game,
     load_mobius_game,
     make_random_game,
-    mobius_evaluate,
     mobius_exact_shapley,
     save_mobius_game,
 )
@@ -26,11 +25,11 @@ def mask_of(players, d):
 class TestMobiusEvaluate:
     def test_pair_example(self):
         g = MobiusGame(2, {mask_of([0], 2): 1.0, mask_of([0, 1], 2): 2.0})
-        assert mobius_evaluate(g, Coalition.of([0, 1], 2)) == 3.0
+        assert g.evaluate(Coalition.of([0, 1], 2)) == 3.0
 
     def test_empty_set_is_zero(self):
         g = MobiusGame(3, {mask_of([0], 3): 5.0})
-        assert mobius_evaluate(g, Coalition.empty(3)) == 0.0
+        assert g.evaluate(Coalition.empty(3)) == 0.0
 
     def test_grand_coalition_sums_all_coefficients(self):
         g = make_random_game(8, 3, 5, seed=11)
