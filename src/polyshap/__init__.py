@@ -60,7 +60,6 @@ from .regression import (
 from .sampling import (
     SampleBatch,
     SamplerConfig,
-    default_size_distribution,
     leverage_scores_bruteforce,
     load_batch,
     sample,

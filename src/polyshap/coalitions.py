@@ -6,9 +6,10 @@ player i is present. The textual form is a binary string of length d with
 player 0 leftmost, e.g. "1010" is {0, 2} for d=4.
 
 Batches of masks enter numpy through one codec, ``membership``, an (n, d)
-boolean array. Both linear maps of the estimator are built on it: the
-containment kernel 1[T subseteq S] (design entries) and the fold
-1[i in T] / |T| (coefficients to Shapley values).
+boolean array, and leave it through its inverse, ``masks_from_membership``.
+Both linear maps of the estimator are built on it: the containment kernel
+1[T subseteq S] (design entries) and the fold 1[i in T] / |T|
+(coefficients to Shapley values).
 """
 
 from __future__ import annotations
@@ -171,6 +172,14 @@ def membership(masks: Sequence[int], d: int) -> np.ndarray:
     raw = b"".join(mask.to_bytes(width, "little") for mask in masks)
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
     return bits.reshape(len(masks), 8 * width)[:, :d].view(bool)
+
+
+def masks_from_membership(members: np.ndarray) -> list[int]:
+    """Inverse of ``membership``: the mask of each row of an (n, d) boolean array."""
+    packed = np.packbits(members, axis=1, bitorder="little")
+    width = packed.shape[1]
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
 def containment(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:

@@ -93,8 +93,8 @@ class MobiusGame(Game):
         self.terms = clean
 
     def _value(self, coalition: Coalition) -> float:
-        mask = coalition.mask
-        return sum(c for t, c in self.terms.items() if t & ~mask == 0)
+        outside = ~coalition.mask
+        return sum(c for t, c in self.terms.items() if not t & outside)
 
 
 def mobius_exact_shapley(game: MobiusGame) -> np.ndarray:

@@ -1,62 +1,58 @@
 """Coalition sampling: size-stratified draws, paired complements, and the border trick.
 
 The sampler spends a budget of game evaluations. Two go to the empty and
-grand coalitions; the rest become weighted rows. Sizes whose expected
-sample count under the remaining budget reaches their subset count are
-exhaustively enumerated (weight sqrt(mu), treated as deterministic
-inclusion), the size distribution is renormalized over what is left, and
-the leftover budget is spent on random draws: sizes i.i.d. from the
-renormalized distribution, coalitions uniformly without replacement within
-each size, in complement pairs when paired. Random rows carry weight
-sqrt(mu(S) / p_eff(S)) with p_eff(S) = q(|S|) / C(d, |S|).
+grand coalitions; the remaining r become weighted rows. Sizes are uniform
+over 1..d-1. A unit is one size, or the complement pair {s, d-s} when
+paired; its capacity is the number of coalitions it holds. A unit is
+either enumerated whole or sampled, by three rules:
+
+1. Border trick. Take the active size with the smallest (C(d, s), s) and
+   enumerate its unit iff r >= C(d, s) * (number of active sizes); repeat.
+   The test is in integers, so rounding cannot flip it.
+2. Counts first. The sizes of all random draws are drawn in one call,
+   uniform over the active sizes. When paired, a draw is a complement
+   pair and an odd r makes the last draw one unpaired row. A unit whose
+   rows reach its capacity is enumerated and the sizes are drawn again for
+   what is left, so every sampled unit ends below capacity.
+3. Draws. A row of size s takes the players ranked below s in a uniform
+   random permutation. A coalition already taken (accepted, or the
+   complement of an accepted one when paired) is redrawn with the same
+   size, so within a size the coalitions are uniform without replacement.
+
+Enumerated rows carry weight sqrt(mu(S)). The n random rows are weighted
+by kernel weight over inclusion, sqrt(mu(S) / (n p(S))) with
+p(S) = 1 / (a C(d, |S|)) over the a active sizes (Horvitz-Thompson), so
+random rows stand for the kernel mass of the sizes left unenumerated as
+enumerated rows stand for their own.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .coalitions import Coalition, binomial, enumerate_subset_masks, shapley_weight
+from .coalitions import (
+    Coalition,
+    binomial,
+    enumerate_subset_masks,
+    masks_from_membership,
+    shapley_weight,
+)
 from .frontier import InteractionFrontier
 from .games import Game
 from .regression import full_design_matrix
 
-_MATERIALIZE_LIMIT = 1 << 16
-
-
-def default_size_distribution(d: int) -> np.ndarray:
-    """Uniform over sizes 1..d-1 (order-1 leverage sampling): entry i is size i+1."""
-    if d < 2:
-        raise ValueError(f"need d >= 2, got d={d}")
-    return np.full(d - 1, 1.0 / (d - 1))
-
 
 @dataclass
 class SamplerConfig:
-    """Budget, pairing, seed, and the probability vector over sizes 1..d-1."""
+    """Budget, pairing, and seed of one batch."""
 
     budget_m: int
     paired: bool = False
     seed: int = 0
-    size_distribution: Sequence[float] | None = None
-
-    def resolved_distribution(self, d: int) -> np.ndarray:
-        if self.size_distribution is None:
-            return default_size_distribution(d)
-        p = np.asarray(self.size_distribution, dtype=float)
-        if p.shape != (d - 1,):
-            raise ValueError(
-                f"size distribution must have length d-1={d - 1}, got shape {p.shape}"
-            )
-        if (p < 0).any() or not np.isfinite(p).all():
-            raise ValueError("size distribution entries must be finite and nonnegative")
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"size distribution must sum to 1, got {p.sum()!r}")
-        if self.paired and not np.allclose(p, p[::-1], atol=1e-12):
-            raise ValueError("paired sampling needs a complement-symmetric size distribution")
-        return p
 
 
 @dataclass
@@ -88,44 +84,6 @@ class SampleBatch:
             raise ValueError("row weights must be strictly positive and finite")
 
 
-class _Stratum:
-    """Without-replacement draws from the coalitions of one size."""
-
-    def __init__(self, d: int, s: int, rng: np.random.Generator) -> None:
-        self.d = d
-        self.s = s
-        self.count = binomial(d, s)
-        self.used: set[int] = set()
-        if self.count <= _MATERIALIZE_LIMIT:
-            self._pool = list(enumerate_subset_masks(d, s))
-            self._order = rng.permutation(self.count)
-            self._next = 0
-        else:
-            self._pool = None
-
-    def mark(self, mask: int) -> None:
-        self.used.add(mask)
-
-    def draw(self, rng: np.random.Generator) -> int:
-        if self._pool is not None:
-            while self._next < self.count:
-                mask = self._pool[int(self._order[self._next])]
-                self._next += 1
-                if mask not in self.used:
-                    self.used.add(mask)
-                    return mask
-            # Stratum exhausted: fall back to uniform with replacement.
-            return self._pool[int(rng.integers(self.count))]
-        while True:
-            players = rng.choice(self.d, size=self.s, replace=False)
-            mask = 0
-            for i in players:
-                mask |= 1 << int(i)
-            if mask not in self.used:
-                self.used.add(mask)
-                return mask
-
-
 def sample(cfg: SamplerConfig, game: Game) -> SampleBatch:
     """Draw a batch per the config, consuming exactly cfg.budget_m game evaluations."""
     d = game.d
@@ -137,92 +95,78 @@ def sample(cfg: SamplerConfig, game: Game) -> SampleBatch:
         raise ValueError(
             f"budget must be in [{min_budget}, {max_budget}] for d={d}, got {cfg.budget_m}"
         )
-    p = cfg.resolved_distribution(d)
     rng = np.random.default_rng(cfg.seed)
+    full_mask = (1 << d) - 1
 
     nu_empty = game.evaluate(Coalition.empty(d))
     nu_full = game.evaluate(Coalition.full(d))
     remaining = cfg.budget_m - 2
 
-    q = {s: float(p[s - 1]) for s in range(1, d) if p[s - 1] > 0.0}
-    order = sorted(q, key=lambda s: (binomial(d, s), s))
+    # Smallest stratum first; when paired, a unit is named by its smaller size.
+    active = sorted(range(1, d), key=lambda s: (binomial(d, s), s))
     enumerated: list[int] = []
     masks: list[int] = []
-    weights: list[float] = []
 
-    def enumerate_stratum(s: int) -> None:
-        w = np.sqrt(shapley_weight(s, d))
-        for mask in enumerate_subset_masks(d, s):
-            masks.append(mask)
-            weights.append(float(w))
+    def unit(s: int) -> list[int]:
+        return sorted({s, d - s}) if cfg.paired else [s]
 
-    # Border trick: from the extremes inward, exhaust any size whose expected
-    # sample count under the current distribution covers the whole stratum.
-    while True:
-        fired = False
-        for s in order:
-            if s not in q:
+    def enumerate_unit(s: int) -> None:
+        nonlocal remaining
+        for t in unit(s):
+            masks.extend(enumerate_subset_masks(d, t))
+            enumerated.append(t)
+            active.remove(t)
+            remaining -= binomial(d, t)
+
+    def draw_sizes() -> tuple[np.ndarray, list[int]]:
+        """One size per draw, and the units whose rows reach their capacity."""
+        n_draws = (remaining + 1) // 2 if cfg.paired else remaining
+        sizes = np.array(active, dtype=np.int64)[rng.integers(len(active), size=n_draws)]
+        rows = np.full(n_draws, 2 if cfg.paired else 1)
+        if cfg.paired and remaining % 2:
+            rows[-1] = 1
+        names = np.minimum(sizes, d - sizes) if cfg.paired else sizes
+        per_unit = np.bincount(names, weights=rows, minlength=d)
+        full = [s for s in active if per_unit[s] >= sum(binomial(d, t) for t in unit(s))]
+        return sizes, full
+
+    while active and remaining >= binomial(d, active[0]) * len(active):
+        enumerate_unit(active[0])
+    sizes, full = draw_sizes()
+    while full:
+        for s in full:
+            enumerate_unit(s)
+        sizes, full = draw_sizes()
+
+    # Enumerated sizes are never drawn, so only accepted draws can be taken.
+    drawn = [0] * len(sizes)
+    taken: set[int] = set()
+    pending = np.arange(len(sizes))
+    while pending.size:
+        ranks = rng.permuted(np.tile(np.arange(d, dtype=np.uint8), (pending.size, 1)), axis=1)
+        rejected = []
+        for row, mask in zip(pending, masks_from_membership(ranks < sizes[pending, None])):
+            if mask in taken:
+                rejected.append(row)
                 continue
-            c_s = binomial(d, s)
-            if remaining * q[s] < c_s:
-                continue
-            enumerate_stratum(s)
-            enumerated.append(s)
-            cost = c_s
-            del q[s]
-            if cfg.paired and (d - s) in q:
-                enumerate_stratum(d - s)
-                enumerated.append(d - s)
-                cost += binomial(d, d - s)
-                del q[d - s]
-            remaining -= cost
-            total = sum(q.values())
-            if total > 0:
-                q = {s2: v / total for s2, v in q.items()}
-            fired = True
-            break
-        if not fired:
-            break
+            drawn[row] = mask
+            taken.add(mask)
+            if cfg.paired:
+                taken.add(mask ^ full_mask)
+        pending = np.array(rejected, dtype=np.int64)
 
-    if remaining > 0 and not q:
-        raise ValueError(
-            "budget cannot be consumed: all sizes with positive mass are enumerated"
-        )
+    n_random = remaining
+    for row, mask in enumerate(drawn):
+        masks.append(mask)
+        if cfg.paired and row < n_random // 2:
+            masks.append(mask ^ full_mask)
 
-    odd_unpaired = False
-    if remaining > 0:
-        active = np.array(sorted(q), dtype=np.int64)
-        probs = np.array([q[int(s)] for s in active])
-        strata = {int(s): _Stratum(d, int(s), rng) for s in active}
-
-        def row_weight(s: int) -> float:
-            p_eff = q[s] / binomial(d, s)
-            return float(np.sqrt(shapley_weight(s, d) / p_eff))
-
-        if cfg.paired:
-            n_pairs, odd = divmod(remaining, 2)
-            sizes = rng.choice(active, size=n_pairs + odd, p=probs)
-            for idx in range(n_pairs):
-                s = int(sizes[idx])
-                mask = strata[s].draw(rng)
-                comp = mask ^ ((1 << d) - 1)
-                if (d - s) in strata:
-                    strata[d - s].mark(comp)
-                masks.append(mask)
-                weights.append(row_weight(s))
-                masks.append(comp)
-                weights.append(row_weight(d - s))
-            if odd:
-                s = int(sizes[-1])
-                masks.append(strata[s].draw(rng))
-                weights.append(row_weight(s))
-                odd_unpaired = True
-        else:
-            sizes = rng.choice(active, size=remaining, p=probs)
-            for s in sizes:
-                s = int(s)
-                masks.append(strata[s].draw(rng))
-                weights.append(row_weight(s))
+    # Expected number of rows per coalition: 1 when enumerated, n p(S) when drawn.
+    inclusion = {s: 1.0 for s in enumerated}
+    if n_random:
+        inclusion.update({s: n_random / (len(active) * binomial(d, s)) for s in active})
+    row_weight = {s: math.sqrt(shapley_weight(s, d) / inclusion[s]) for s in inclusion}
+    weights = np.array([row_weight[m.bit_count()] for m in masks])
 
     values = np.array([game.evaluate(Coalition(m, d)) for m in masks])
     effective_m = 2 + len(masks)
@@ -233,13 +177,13 @@ def sample(cfg: SamplerConfig, game: Game) -> SampleBatch:
     return SampleBatch(
         d=d,
         masks=masks,
-        weights=np.array(weights),
+        weights=weights,
         values=values,
         nu_empty=nu_empty,
         nu_full=nu_full,
         enumerated_sizes=frozenset(enumerated),
         effective_m=effective_m,
-        odd_unpaired=odd_unpaired,
+        odd_unpaired=cfg.paired and n_random % 2 == 1,
     )
 
 
@@ -298,13 +242,22 @@ def leverage_scores_bruteforce(
 
     Builds the complete 2^d x d' matrix, projects off the all-ones direction,
     and evaluates the quadratic form for every row. Scores are constant per
-    size by symmetry; that constancy and the trace identity (scores sum to
-    the projected rank) are verified, not assumed.
+    size when the frontier is symmetric under player permutations, i.e. holds
+    all or none of the C(d, t) subsets of each size t; other frontiers are
+    rejected. That constancy and the trace identity (scores sum to the
+    projected rank) are verified, not assumed.
     """
     if d > 14:
         raise ValueError(f"brute-force leverage scores need d <= 14, got d={d}")
     if frontier.d != d:
         raise ValueError(f"dimension mismatch: d={d}, frontier d={frontier.d}")
+    per_term_size = Counter(t.size() for t in frontier.terms)
+    for t, count in sorted(per_term_size.items()):
+        if count != binomial(d, t):
+            raise ValueError(
+                f"leverage scores need a permutation-symmetric frontier: it holds "
+                f"{count} of the {binomial(d, t)} subsets of size {t}"
+            )
     x = full_design_matrix(d, frontier)
     n_cols = frontier.n_columns
     xp = x - x.sum(axis=1)[:, None] / n_cols

@@ -2,8 +2,14 @@ import itertools
 import math
 
 import numpy as np
+from hypothesis import settings
 
 from polyshap.coalitions import Coalition
+
+# Derandomized: every run draws the same examples, so two checkouts can be
+# compared test for test. Tests keep their own max_examples.
+settings.register_profile("polyshap", derandomize=True, deadline=None)
+settings.load_profile("polyshap")
 
 
 def shapley_by_permutation_enum(game) -> np.ndarray:

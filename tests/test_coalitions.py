@@ -13,6 +13,7 @@ from polyshap.coalitions import (
     enumerate_subset_masks,
     enumerate_subsets,
     fold,
+    masks_from_membership,
     membership,
     shapley_weight,
 )
@@ -165,6 +166,12 @@ class TestMembership:
         got = membership([1 << 127, 1], 128)
         assert got[0].nonzero()[0].tolist() == [127]
         assert got[1].nonzero()[0].tolist() == [0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(BOUNDARY_DIMS), st.data())
+    def test_inverse_round_trips(self, d, data):
+        masks = data.draw(masks_for(d))
+        assert masks_from_membership(membership(masks, d)) == masks
 
 
 class TestContainment:

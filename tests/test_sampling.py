@@ -1,50 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyshap.coalitions import Coalition, binomial, shapley_weight
-from polyshap.frontier import empty_frontier, k_additive
+from polyshap.frontier import empty_frontier, k_additive, percent_of_order
 from polyshap.games import make_random_game
+from polyshap.regression import build_design, full_design_matrix
 from polyshap.sampling import (
     SamplerConfig,
-    default_size_distribution,
     leverage_scores_bruteforce,
     load_batch,
     sample,
     save_batch,
 )
-
-
-class TestDefaultSizeDistribution:
-    def test_d4_uniform(self):
-        p = default_size_distribution(4)
-        assert np.allclose(p, [1 / 3, 1 / 3, 1 / 3])
-
-    def test_complement_symmetric(self):
-        p = default_size_distribution(9)
-        assert np.allclose(p, p[::-1])
-
-    def test_per_coalition_mass_sums_to_one(self):
-        d = 7
-        p = default_size_distribution(d)
-        total = sum(binomial(d, s) * p[s - 1] / binomial(d, s) for s in range(1, d))
-        assert total == pytest.approx(1.0)
-
-
-class TestSamplerConfigValidation:
-    def test_wrong_length_rejected(self):
-        cfg = SamplerConfig(budget_m=20, size_distribution=[0.5, 0.5])
-        with pytest.raises(ValueError):
-            cfg.resolved_distribution(4)
-
-    def test_asymmetric_paired_rejected(self):
-        cfg = SamplerConfig(budget_m=20, paired=True, size_distribution=[0.7, 0.2, 0.1])
-        with pytest.raises(ValueError):
-            cfg.resolved_distribution(4)
-
-    def test_not_normalized_rejected(self):
-        cfg = SamplerConfig(budget_m=20, size_distribution=[0.5, 0.2, 0.1])
-        with pytest.raises(ValueError):
-            cfg.resolved_distribution(4)
 
 
 class TestSample:
@@ -114,16 +83,16 @@ class TestSample:
         d = 8
         g = make_random_game(d, 3, 20, seed=6)
         batch = sample(SamplerConfig(budget_m=150, paired=False, seed=1), g)
-        # reconstruct the renormalized size distribution over non-enumerated sizes
-        p = default_size_distribution(d)
+        # Horvitz-Thompson: kernel weight over n p(S), with sizes uniform over
+        # the active (non-enumerated) sizes and n the number of random rows
         active = [s for s in range(1, d) if s not in batch.enumerated_sizes]
-        total = sum(p[s - 1] for s in active)
+        n_random = sum(m.bit_count() in active for m in batch.masks)
+        assert n_random > 0
         for mask, w in zip(batch.masks, batch.weights):
             s = mask.bit_count()
-            if s not in batch.enumerated_sizes:
-                q = p[s - 1] / total
-                p_eff = q / binomial(d, s)
-                assert w == pytest.approx(np.sqrt(shapley_weight(s, d) / p_eff))
+            if s in active:
+                p_eff = 1 / (len(active) * binomial(d, s))
+                assert w == pytest.approx(np.sqrt(shapley_weight(s, d) / (n_random * p_eff)))
 
     def test_without_replacement_within_sizes(self):
         g = make_random_game(10, 2, 10, seed=7)
@@ -134,8 +103,7 @@ class TestSample:
         for s, masks in by_size.items():
             if s in batch.enumerated_sizes:
                 continue
-            if len(masks) <= binomial(10, s):
-                assert len(set(masks)) == len(masks)
+            assert len(set(masks)) == len(masks)
 
     def test_budget_bounds(self):
         g = make_random_game(5, 2, 5, seed=0)
@@ -143,14 +111,6 @@ class TestSample:
             sample(SamplerConfig(budget_m=6, seed=0), g)  # below d+2
         with pytest.raises(ValueError):
             sample(SamplerConfig(budget_m=33, seed=0), g)  # above 2^d
-
-    def test_budget_unconsumable_under_sparse_distribution(self):
-        # mass only on the extreme sizes: once both are enumerated there is
-        # nowhere left to spend the rest of the budget
-        g = make_random_game(4, 2, 5, seed=0)
-        cfg = SamplerConfig(budget_m=16, paired=True, seed=0, size_distribution=[0.5, 0.0, 0.5])
-        with pytest.raises(ValueError):
-            sample(cfg, g)
 
     def test_values_match_game(self):
         g = make_random_game(6, 3, 10, seed=8)
@@ -160,6 +120,54 @@ class TestSample:
             assert v == fresh.evaluate(Coalition(mask, 6))
         assert batch.nu_empty == fresh.evaluate(Coalition.empty(6))
         assert batch.nu_full == fresh.evaluate(Coalition.full(6))
+
+    def test_border_tie_enumerates_in_integers(self):
+        # 315 * (1/7) rounds below C(10, 2) = 45 in floating point; the border
+        # test must still enumerate sizes 2 and 8
+        g = make_random_game(10, 2, 10, seed=7)
+        batch = sample(SamplerConfig(budget_m=337, paired=True, seed=19), g)
+        assert batch.enumerated_sizes == frozenset({1, 2, 8, 9})
+        assert len(set(batch.masks)) == len(batch.masks)
+
+    @pytest.mark.parametrize("budget_m, paired", [(60, False), (60, True), (150, True)])
+    def test_mean_gram_matches_full_design(self, budget_m, paired):
+        # Horvitz-Thompson unbiasedness: over seeds, the weighted Gram of a
+        # batch averages to the kernel-weighted Gram of all 2^d coalitions
+        d = 8
+        frontier = k_additive(d, 2)
+        full = full_design_matrix(d, frontier)
+        expected = full.T @ full
+        mean = np.zeros_like(expected)
+        n_seeds = 400
+        for seed in range(n_seeds):
+            g = make_random_game(d, 2, 10, seed=1)
+            x = build_design(sample(SamplerConfig(budget_m, paired, seed), g), frontier).matrix
+            mean += x.T @ x / n_seeds
+        assert np.linalg.norm(mean - expected) / np.linalg.norm(expected) < 0.02
+
+
+@st.composite
+def sampler_cases(draw):
+    d = draw(st.integers(2, 12))
+    budget_m = draw(st.integers(d + 2, 1 << d))
+    return d, SamplerConfig(budget_m, draw(st.booleans()), draw(st.integers(0, 2**32 - 1)))
+
+
+class TestSamplerContract:
+    @settings(max_examples=150, deadline=None)
+    @given(sampler_cases())
+    def test_contract(self, case):
+        d, cfg = case
+        g = make_random_game(d, 1, d, seed=0)
+        before = g.eval_counter
+        batch = sample(cfg, g)
+        assert len(set(batch.masks)) == len(batch.masks)
+        for s in batch.enumerated_sizes:
+            assert sum(m.bit_count() == s for m in batch.masks) == binomial(d, s)
+        assert g.eval_counter - before == batch.effective_m == cfg.budget_m
+        if cfg.paired and cfg.budget_m % 2 == 0:
+            full = (1 << d) - 1
+            assert set(batch.masks) == {m ^ full for m in batch.masks}
 
 
 class TestBatchReplay:
@@ -201,6 +209,10 @@ class TestLeverageScores:
         spread = max(proper.values()) / min(proper.values())
         print("max/min ratio:", spread)
         assert all(v > 0 for v in proper.values())
+
+    def test_asymmetric_frontier_rejected(self):
+        with pytest.raises(ValueError, match="size 3"):
+            leverage_scores_bruteforce(4, percent_of_order(4, 3, 0.5, 1))
 
     def test_d_too_large(self):
         with pytest.raises(ValueError):
