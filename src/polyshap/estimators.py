@@ -94,6 +94,8 @@ def polyshap_from_batch(
             "seed": seed,
             "rank": report.rank,
             "rank_deficient": report.rank_deficient,
+            "solver": report.solver,
+            "pivot_ratio": report.pivot_ratio,
             "residual_norm": report.residual_norm,
             "enumerated_sizes": sorted(batch.enumerated_sizes),
             "odd_unpaired": batch.odd_unpaired,

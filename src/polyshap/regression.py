@@ -1,14 +1,30 @@
 """Design matrices and the efficiency-constrained weighted least squares solve.
 
-The constrained problem  min ||X phi - y||  s.t.  <phi, 1> = c  is reduced to
-an unconstrained one by projecting off the all-ones direction: with
-P = I - (1/d') 1 1^T, solve  beta = argmin ||X P beta - (y - X 1 c/d')||  by
-minimum-norm least squares and return  phi = P beta + 1 c/d'.  The returned
-vector sums to c by construction.
+The constrained problem  min ||X phi - y||  s.t.  <phi, 1> = c  is solved by
+eliminating one coordinate: substituting  phi_0 = c - sum_{j>0} phi_j  leaves
+the unconstrained problem  min ||A x - b||  with  A = X[:, 1:] - X[:, :1]  and
+b = y - X[:, 0] c,  and  phi = (c - sum(x), x)  sums to c by construction.
+A has full column rank exactly when the constrained solution is unique. The
+solve factors  G = A^T A = L L^T  by Cholesky, solves, and takes one step of
+corrected semi-normal refinement (Bjorck, 1987):  x += G^{-1} A^T (b - A x),
+which recovers the digits that forming G loses on ill-conditioned designs.
+
+The result is accepted when both tests hold, each against sqrt(eps):
+
+* pivots: min diag(L)^2 >= sqrt(eps) * max diag(G), which rejects
+  structurally singular designs, underdetermined ones included;
+* refinement: ||step||_inf <= sqrt(eps) * ||x||_inf, which rejects a solve
+  that lost too many digits.
+
+Otherwise, or when the factorization fails, the minimum-norm fallback runs:
+with P = I - (1/d') 1 1^T, solve  beta = argmin ||X P beta - (y - X 1 c/d')||
+by SVD and return  phi = P beta + 1 c/d'.  Its rank, its rank-deficiency
+flag and its singular-value cutoff are reported as computed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +53,8 @@ class SolveReport:
     residual_norm: float
     constraint_value: float
     singular_value_cutoff: float
+    solver: str  # "cholesky" or "svd"
+    pivot_ratio: float | None  # max diag(G) / min diag(L)^2; None when the factorization failed
 
 
 def design_columns(masks: list[int], frontier: InteractionFrontier) -> np.ndarray:
@@ -67,14 +85,41 @@ def build_design(batch, frontier: InteractionFrontier) -> DesignSystem:
     )
 
 
+_EPS = float(np.finfo(float).eps)
+_SQRT_EPS = math.sqrt(_EPS)  # threshold of both acceptance tests
+_BLOCK = 64  # diagonal block size of the substitutions
+
+
+def _cholesky_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """G^{-1} rhs for G = L L^T, by blocked forward then back substitution.
+
+    numpy has no triangular solver: each diagonal block goes through
+    np.linalg.solve, the rest is matrix-vector products.
+    """
+    n = lower.shape[0]
+    starts = range(0, n, _BLOCK)
+    z = rhs.copy()
+    for i in starts:
+        j = min(i + _BLOCK, n)
+        z[i:j] = np.linalg.solve(lower[i:j, i:j], z[i:j] - lower[i:j, :i] @ z[:i])
+    for i in reversed(starts):
+        j = min(i + _BLOCK, n)
+        z[i:j] = np.linalg.solve(lower[i:j, i:j].T, z[i:j] - lower[j:, i:j].T @ z[j:])
+    return z
+
+
 def constrained_lstsq(
     matrix: np.ndarray, target: np.ndarray, constraint_value: float
 ) -> SolveReport:
-    """Minimum-norm solution of the sum-constrained weighted least squares problem.
+    """Solution of the sum-constrained weighted least squares problem.
 
-    Singular values below sigma_max * max(m, d') * machine epsilon are
-    treated as zero (numpy's lstsq default); rank deficiency of the projected
-    matrix is flagged rather than raised.
+    Cholesky on the eliminated system, refined once, is accepted when its
+    pivot and refinement tests pass (see the module docstring); its rank is
+    d' - 1 and its cutoff is an estimate, sqrt(max diag G) * max(m, d') * eps
+    with sqrt(max diag G) standing in for sigma_max. Otherwise the
+    minimum-norm SVD solve runs, with singular values below
+    sigma_max * max(m, d') * eps treated as zero (numpy's lstsq default);
+    rank deficiency of the projected matrix is flagged rather than raised.
     """
     matrix = np.asarray(matrix, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -87,17 +132,63 @@ def constrained_lstsq(
     m, n_cols = matrix.shape
     if n_cols < 1 or m < 1:
         raise ValueError("system must have at least one row and one column")
+    report, pivot_ratio = _refined_cholesky(matrix, target, constraint_value)
+    if report is None:  # its arrays are freed before the SVD allocates its own
+        report = _projected_svd(matrix, target, constraint_value, pivot_ratio)
+    return report
+
+
+def _refined_cholesky(
+    matrix: np.ndarray, target: np.ndarray, constraint_value: float
+) -> tuple[SolveReport | None, float | None]:
+    """Cholesky solve of the eliminated system with one refinement step.
+
+    Returns the report, or None when a test rejects the result, together
+    with the pivot ratio (None when the factorization failed).
+    """
+    m, n_cols = matrix.shape
+    eliminated = matrix[:, 1:] - matrix[:, :1]
+    rhs = target - matrix[:, 0] * constraint_value
+    gram = eliminated.T @ eliminated
+    gram_max = float(gram.diagonal().max(initial=0.0))
+    try:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None, None
+    pivot_min = float((lower.diagonal() ** 2).min(initial=math.inf))
+    pivot_ratio = gram_max / pivot_min
+    if pivot_min < _SQRT_EPS * gram_max:
+        return None, pivot_ratio
+    x = _cholesky_solve(lower, eliminated.T @ rhs)
+    step = _cholesky_solve(lower, eliminated.T @ (rhs - eliminated @ x))
+    x += step
+    if np.abs(step).max(initial=0.0) > _SQRT_EPS * np.abs(x).max(initial=0.0):
+        return None, pivot_ratio
+    report = SolveReport(
+        coefficients=np.concatenate(([constraint_value - x.sum()], x)),
+        rank=n_cols - 1,
+        rank_deficient=False,
+        residual_norm=float(np.linalg.norm(rhs - eliminated @ x)),
+        constraint_value=float(constraint_value),
+        singular_value_cutoff=math.sqrt(gram_max) * max(m, n_cols) * _EPS,
+        solver="cholesky",
+        pivot_ratio=pivot_ratio,
+    )
+    return report, pivot_ratio
+
+
+def _projected_svd(
+    matrix: np.ndarray, target: np.ndarray, constraint_value: float, pivot_ratio: float | None
+) -> SolveReport:
+    """Minimum-norm solve of the rank-one projected system by SVD (np.linalg.lstsq)."""
+    m, n_cols = matrix.shape
     row_sums = matrix.sum(axis=1)
     projected = matrix - row_sums[:, None] / n_cols
     rhs = target - row_sums * (constraint_value / n_cols)
     beta, _, rank, singulars = np.linalg.lstsq(projected, rhs, rcond=None)
     coefficients = beta - beta.mean() + constraint_value / n_cols
     residual = float(np.linalg.norm(projected @ beta - rhs))
-    cutoff = (
-        float(singulars[0]) * max(m, n_cols) * float(np.finfo(float).eps)
-        if singulars.size
-        else 0.0
-    )
+    cutoff = float(singulars[0]) * max(m, n_cols) * _EPS if singulars.size else 0.0
     return SolveReport(
         coefficients=coefficients,
         rank=int(rank),
@@ -105,6 +196,8 @@ def constrained_lstsq(
         residual_norm=residual,
         constraint_value=float(constraint_value),
         singular_value_cutoff=cutoff,
+        solver="svd",
+        pivot_ratio=pivot_ratio,
     )
 
 

@@ -77,8 +77,11 @@ class SampleBatch:
         if not (len(self.masks) == len(self.weights) == len(self.values)):
             raise ValueError("masks, weights, and values must have equal lengths")
         full = (1 << self.d) - 1
-        if any(m == 0 or m == full for m in self.masks):
-            raise ValueError("batches never contain the empty or grand coalition")
+        bad = next((m for m in self.masks if not 0 < m < full), None)
+        if bad is not None:
+            raise ValueError(
+                f"mask {bad} is not a proper nonempty coalition of d={self.d} players"
+            )
         w = np.asarray(self.weights, dtype=float)
         if len(w) and not (np.isfinite(w).all() and (w > 0).all()):
             raise ValueError("row weights must be strictly positive and finite")
@@ -206,7 +209,7 @@ def load_batch(path: str) -> SampleBatch:
     weights: list[float] = []
     values: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -217,6 +220,11 @@ def load_batch(path: str) -> SampleBatch:
             if line.startswith("bitstring"):
                 continue
             bits, w, v = line.split(",")
+            if len(bits) != int(meta["d"]):
+                raise ValueError(
+                    f"{path}:{lineno}: bitstring {bits!r} has {len(bits)} players, "
+                    f"expected d={meta['d']}"
+                )
             masks.append(Coalition.from_bitstring(bits).mask)
             weights.append(float(w))
             values.append(float(v))

@@ -150,6 +150,16 @@ class TestPolyshap:
         assert set(blob) >= {"baseline", "shapley", "frontier_label", "diagnostics"}
         assert len(blob["shapley"]) == 5
 
+    def test_solver_diagnostics(self):
+        g = make_random_game(8, 3, 20, seed=14)
+        full_rank = polyshap(g, k_additive(8, 2), SamplerConfig(budget_m=120, paired=True, seed=3))
+        assert full_rank.diagnostics["solver"] == "cholesky"
+        assert full_rank.diagnostics["pivot_ratio"] >= 1.0
+        # fewer rows than d' - 1 columns: the factorization is rejected, the SVD flags it
+        deficient = polyshap(g, k_additive(8, 3), SamplerConfig(budget_m=40, paired=True, seed=3))
+        assert deficient.diagnostics["solver"] == "svd"
+        assert deficient.diagnostics["rank_deficient"]
+
 
 class TestKernelshap:
     def test_additive_game_exact_at_full_rank(self):

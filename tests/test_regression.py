@@ -1,9 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import polyshap
 from polyshap.coalitions import Coalition
 from polyshap.evaluation import bruteforce_shapley
-from polyshap.frontier import InteractionFrontier, empty_frontier, k_additive
+from polyshap.frontier import (
+    InteractionFrontier,
+    empty_frontier,
+    k_additive,
+    log_frontier,
+    percent_of_order,
+)
 from polyshap.games import LookupGame, MobiusGame, make_random_game
 from polyshap.regression import (
     build_design,
@@ -16,6 +28,20 @@ from polyshap.sampling import SamplerConfig, sample
 
 def mask_of(players, d):
     return Coalition.of(players, d).mask
+
+
+def reference_lstsq(matrix, target, constraint_value):
+    """The projected minimum-norm SVD solve, kept verbatim as the reference.
+
+    Returns the coefficients and the rank-deficiency flag.
+    """
+    m, n_cols = matrix.shape
+    row_sums = matrix.sum(axis=1)
+    projected = matrix - row_sums[:, None] / n_cols
+    rhs = target - row_sums * (constraint_value / n_cols)
+    beta, _, rank, singulars = np.linalg.lstsq(projected, rhs, rcond=None)
+    coefficients = beta - beta.mean() + constraint_value / n_cols
+    return coefficients, int(rank) < n_cols - 1
 
 
 class TestBuildDesign:
@@ -108,6 +134,7 @@ class TestSolveConstrained:
         y = np.arange(6.0)
         report = constrained_lstsq(x, y, 2.0)
         assert report.rank_deficient
+        assert report.solver == "svd"
         assert report.coefficients.sum() == pytest.approx(2.0)
 
     def test_non_finite_rejected(self):
@@ -117,6 +144,65 @@ class TestSolveConstrained:
     def test_cutoff_reported(self):
         report = constrained_lstsq(np.eye(3), np.ones(3), 1.0)
         assert report.singular_value_cutoff > 0
+
+    def test_single_column_returns_constraint(self):
+        report = constrained_lstsq(np.ones((3, 1)), np.arange(3.0), 1.5)
+        assert report.coefficients.tolist() == [1.5]
+        assert report.rank == 0 and not report.rank_deficient
+
+
+def _grid_frontiers(d, seed):
+    yield k_additive(d, 1)
+    yield k_additive(d, 2)
+    yield k_additive(d, 3)
+    yield log_frontier(d, seed)
+    yield percent_of_order(d, 3, 0.5, seed)
+
+
+def _grid_budgets(d, n_cols):
+    budgets = (d + 2, n_cols, n_cols + 1, n_cols + 2, n_cols + 4, 3 * n_cols // 2 + 2,
+               2 * n_cols + 2, 1 << d)
+    return sorted({m for m in budgets if d + 2 <= m <= 1 << d})
+
+
+class TestAgainstSvdReference:
+    """The Cholesky path against the projected SVD solve on sampled designs.
+
+    Budgets sit around d' so the grid holds underdetermined, square-ish and
+    ill-conditioned designs. It guards both acceptance tests: without the
+    refinement step the worst full-rank design here drifts by 5e-8 (d=10,
+    k=3, m=176, pivot ratio 8e5), and without the pivot test 21 deficient
+    designs, underdetermined ones among them, are reported full rank.
+    """
+
+    @pytest.mark.parametrize("d", [4, 5, 6, 8, 10])
+    def test_grid(self, d):
+        for seed in (0, 1):
+            game = make_random_game(d, 3, 3 * d, seed=seed)
+            for frontier in _grid_frontiers(d, seed):
+                for budget in _grid_budgets(d, frontier.n_columns):
+                    for paired in (False, True):
+                        batch = sample(SamplerConfig(budget, paired, seed), game)
+                        system = build_design(batch, frontier)
+                        report = solve_constrained(system)
+                        ref, deficient = reference_lstsq(
+                            system.matrix, system.target, system.constraint_value
+                        )
+                        case = (frontier.order_label, budget, paired, seed)
+                        assert report.rank_deficient == deficient, case
+                        if deficient:
+                            assert np.array_equal(report.coefficients, ref), case
+                        else:
+                            assert np.max(np.abs(report.coefficients - ref)) <= 1e-10, case
+
+    def test_large_paired_design_takes_cholesky_path(self):
+        d = 20
+        game = make_random_game(d, 3, 4 * d, seed=0)
+        batch = sample(SamplerConfig(budget_m=1000, paired=True, seed=0), game)
+        report = solve_constrained(build_design(batch, k_additive(d, 2)))
+        assert report.solver == "cholesky"
+        assert not report.rank_deficient and report.rank == d + d * (d - 1) // 2 - 1
+        assert 1.0 <= report.pivot_ratio < 1 / np.sqrt(np.finfo(float).eps)
 
 
 class TestSolveExactFull:
@@ -160,3 +246,15 @@ class TestProjectionLemma:
             beta_plus = constrained_lstsq(x_plus, y, c).coefficients
             indirect = constrained_lstsq(x, x_plus @ beta_plus, c).coefficients
             assert np.max(np.abs(direct - indirect)) < 1e-8
+
+
+def test_import_leaves_scipy_out():
+    # scipy.linalg would add 0.3-0.5 s to every import of the package; the
+    # solver does its triangular solves with numpy alone.
+    src = str(Path(polyshap.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, polyshap; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -8,6 +8,7 @@ from polyshap.frontier import empty_frontier, k_additive, percent_of_order
 from polyshap.games import make_random_game
 from polyshap.regression import build_design, full_design_matrix
 from polyshap.sampling import (
+    SampleBatch,
     SamplerConfig,
     leverage_scores_bruteforce,
     load_batch,
@@ -185,6 +186,32 @@ class TestBatchReplay:
         assert loaded.nu_full == batch.nu_full
         assert loaded.enumerated_sizes == batch.enumerated_sizes
         assert loaded.odd_unpaired == batch.odd_unpaired
+
+    def test_bitstring_of_wrong_length_rejected(self, tmp_path):
+        g = make_random_game(6, 2, 10, seed=5)
+        batch = sample(SamplerConfig(budget_m=30, paired=False, seed=2), g)
+        path = tmp_path / "batch.csv"
+        save_batch(batch, str(path))
+        lines = path.read_text().splitlines()
+        row = lines.index("bitstring,weight,value") + 3
+        lines[row] = "0" + lines[row]  # a 7-character bitstring in a d=6 file
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"batch.csv:{row + 1}: .* expected d=6"):
+            load_batch(str(path))
+
+    @pytest.mark.parametrize("mask", [0, 0b111111, 0b1000000, 0b1000001, -1])
+    def test_mask_outside_proper_range_rejected(self, mask):
+        with pytest.raises(ValueError, match=f"mask {mask} is not a proper"):
+            SampleBatch(
+                d=6,
+                masks=[0b000011, mask],
+                weights=np.ones(2),
+                values=np.zeros(2),
+                nu_empty=0.0,
+                nu_full=1.0,
+                enumerated_sizes=frozenset(),
+                effective_m=4,
+            )
 
 
 class TestLeverageScores:
