@@ -2,8 +2,8 @@
 
 from .coalitions import (
     Coalition,
+    FileFormatError,
     binomial,
-    enumerate_subsets,
     shapley_weight,
 )
 from .estimators import (
@@ -37,7 +37,6 @@ from .frontier import (
 )
 from .games import (
     Game,
-    GameFileError,
     LookupGame,
     LookupMissError,
     MobiusGame,
@@ -60,10 +59,10 @@ from .regression import (
 from .sampling import (
     SampleBatch,
     SamplerConfig,
-    leverage_scores_bruteforce,
     load_batch,
     sample,
     save_batch,
 )
+from .verify import leverage_scores_bruteforce
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ import os
 import sys
 from typing import Any
 
+from .coalitions import FileFormatError
 from .estimators import kernelshap, permutation_baseline, polyshap
 from .evaluation import (
     load_benchmark_config,
@@ -24,7 +25,7 @@ from .evaluation import (
     run_benchmark,
 )
 from .frontier import k_additive, parse_frontier_spec
-from .games import GameFileError, load_game, make_random_game, save_mobius_game
+from .games import load_game, make_random_game, save_mobius_game
 from .sampling import SamplerConfig
 from .verify import SUITES
 
@@ -45,11 +46,8 @@ def _error_json(kind: str, message: str) -> str:
 def _cmd_explain(args: argparse.Namespace) -> int:
     try:
         game = load_game(args.game)
-    except GameFileError as exc:
+    except FileFormatError as exc:
         print(_error_json("parse", str(exc)))
-        return EXIT_IO
-    except OSError as exc:
-        print(_error_json("io", str(exc)))
         return EXIT_IO
 
     try:
@@ -102,6 +100,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 def _cmd_benchmark(args: argparse.Namespace) -> int:
     try:
         config = load_benchmark_config(args.config)
+    except FileFormatError as exc:
+        print(_error_json("parse", str(exc)))
+        return EXIT_IO
     except (OSError, ValueError) as exc:
         print(_error_json("config", str(exc)))
         return EXIT_CONFIG if isinstance(exc, ValueError) else EXIT_IO

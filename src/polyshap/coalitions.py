@@ -10,13 +10,16 @@ boolean array, and leave it through its inverse, ``masks_from_membership``.
 Both linear maps of the estimator are built on it: the containment kernel
 1[T subseteq S] (design entries) and the fold 1[i in T] / |T|
 (coefficients to Shapley values).
+
+Every file of coalitions (games, sample batches, frontiers) is one text
+format, read by ``read_rows`` and written by ``write_rows``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,15 +72,10 @@ class Coalition:
     def from_bitstring(text: str) -> "Coalition":
         if not text or any(ch not in "01" for ch in text):
             raise ValueError(f"not a coalition bitstring: {text!r}")
-        d = len(text)
-        mask = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                mask |= 1 << i
-        return Coalition(mask, d)
+        return Coalition(int(text[::-1], 2), len(text))
 
     def bitstring(self) -> str:
-        return "".join("1" if self.mask >> i & 1 else "0" for i in range(self.d))
+        return format(self.mask, f"0{self.d}b")[::-1]
 
     def size(self) -> int:
         return self.mask.bit_count()
@@ -85,32 +83,10 @@ class Coalition:
     def members(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.d) if self.mask >> i & 1)
 
-    def has(self, player: int) -> bool:
-        return bool(self.mask >> player & 1)
-
     def add(self, player: int) -> "Coalition":
         if not 0 <= player < self.d:
             raise ValueError(f"player index {player} out of range for d={self.d}")
         return Coalition(self.mask | (1 << player), self.d)
-
-    def union(self, other: "Coalition") -> "Coalition":
-        self._check_same_d(other)
-        return Coalition(self.mask | other.mask, self.d)
-
-    def intersection(self, other: "Coalition") -> "Coalition":
-        self._check_same_d(other)
-        return Coalition(self.mask & other.mask, self.d)
-
-    def complement(self) -> "Coalition":
-        return Coalition(self.mask ^ ((1 << self.d) - 1), self.d)
-
-    def issubset(self, other: "Coalition") -> bool:
-        self._check_same_d(other)
-        return self.mask & ~other.mask == 0
-
-    def _check_same_d(self, other: "Coalition") -> None:
-        if self.d != other.d:
-            raise ValueError(f"dimension mismatch: d={self.d} vs d={other.d}")
 
     def __str__(self) -> str:
         # 1-based in human-readable output.
@@ -160,12 +136,6 @@ def enumerate_subset_masks(d: int, size: int) -> Iterator[int]:
         mask = ripple | ((mask ^ ripple) >> (low.bit_length() + 1))
 
 
-def enumerate_subsets(d: int, size: int) -> Iterator[Coalition]:
-    """Coalitions of a fixed size, in the deterministic colexicographic order."""
-    for mask in enumerate_subset_masks(d, size):
-        yield Coalition(mask, d)
-
-
 def membership(masks: Sequence[int], d: int) -> np.ndarray:
     """Boolean (n, d) array: entry (r, i) says player i is in coalition masks[r]."""
     width = (d + 7) // 8
@@ -205,3 +175,80 @@ def fold(columns: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     out = np.zeros(columns.shape[1])
     np.add.at(out, player, (coefficients / columns.sum(axis=1))[term])
     return out
+
+
+class FileFormatError(ValueError):
+    """A coalition text file is unreadable or breaks its format; names the file and line."""
+
+    def __init__(self, path: str, message: str, line: int | None = None) -> None:
+        super().__init__(f"{path}:{line}: {message}" if line else f"{path}: {message}")
+        self.path, self.line = path, line
+
+
+Row = tuple[int, tuple[float, ...]]  # a coalition mask and its fields
+
+
+def read_rows(
+    path: str, n_fields: int, d: int | None = None
+) -> tuple[dict[str, str], int, list[Row]]:
+    """Parse a coalition text file into its header, its player count and its rows.
+
+    Header lines are ``key=value``, with or without a leading ``#``, and
+    come before the first row; other ``#`` lines, blank lines and the
+    ``bitstring,...`` column line are skipped. Each row is a bitstring and
+    ``n_fields`` floats. The player count is the header's ``d``, else the
+    ``d`` given, else the length of the first bitstring. Every malformed
+    line, a repeated coalition included, raises ``FileFormatError``.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FileFormatError(path, f"cannot read file: {exc}") from exc
+    header: dict[str, str] = {}
+    rows: list[Row] = []
+    seen: set[int] = set()
+    for line, text in enumerate((raw.strip() for raw in lines), 1):
+        key, eq, value = (part.strip() for part in text.lstrip("#").partition("="))
+        if eq and key.isidentifier():
+            if rows:
+                raise FileFormatError(path, f"header line {text!r} after the first row", line)
+            header[key] = value
+            if key == "d":
+                try:
+                    d = int(value)
+                    _check_d(d)
+                except ValueError as exc:
+                    raise FileFormatError(path, f"bad header {text!r}: {exc}", line) from None
+            continue
+        if not text or text.startswith(("#", "bitstring")):
+            continue
+        bits, *raw_fields = (part.strip() for part in text.split(","))
+        if len(raw_fields) != n_fields:
+            raise FileFormatError(path, f"expected {1 + n_fields} comma-separated values", line)
+        d = len(bits) if d is None else d
+        if len(bits) != d:
+            message = f"bitstring {bits!r} has {len(bits)} players, expected d={d}"
+            raise FileFormatError(path, message, line)
+        try:
+            mask = Coalition.from_bitstring(bits).mask
+            fields = tuple(map(float, raw_fields))
+        except ValueError as exc:
+            raise FileFormatError(path, str(exc), line) from None
+        if mask in seen:
+            raise FileFormatError(path, f"repeated coalition {bits}", line)
+        seen.add(mask)
+        rows.append((mask, fields))
+    if d is None:
+        raise FileFormatError(path, "no player count: no 'd=' header, no rows and no d given")
+    return header, d, rows
+
+
+def write_rows(path: str, header_lines: Sequence[str], d: int, rows: Iterable[Row]) -> None:
+    """Inverse of ``read_rows``; fields are written by ``repr``, so they read back exactly."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for text in header_lines:
+            fh.write(text + "\n")
+        for mask, fields in rows:
+            fh.write(",".join([Coalition(mask, d).bitstring(), *(repr(float(f)) for f in fields)]))
+            fh.write("\n")

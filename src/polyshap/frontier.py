@@ -1,7 +1,7 @@
 """Interaction frontiers: the ordered sets of interaction terms added as regression columns.
 
-A frontier holds coalitions of size >= 2, ordered size-major and
-colexicographically within a size. The regression then has
+A frontier holds the masks of coalitions of size >= 2, ordered size-major
+and colexicographically within a size. The regression then has
 d' = d + len(terms) columns: the d singletons first, then the frontier.
 """
 
@@ -13,30 +13,29 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .coalitions import Coalition, binomial, enumerate_subset_masks, _check_d
+from .coalitions import FileFormatError, binomial, enumerate_subset_masks, read_rows, write_rows
+from .coalitions import _check_d
 
 
 @dataclass(frozen=True)
 class InteractionFrontier:
     d: int
-    terms: tuple[Coalition, ...]
+    terms: tuple[int, ...]
     order_label: str = "custom"
 
     def __post_init__(self) -> None:
         _check_d(self.d)
-        seen: set[int] = set()
-        prev_key: tuple[int, int] | None = None
+        prev_key = (0, 0)  # below the key of every term of size >= 2
         for t in self.terms:
-            if t.d != self.d:
-                raise ValueError(f"term {t} has d={t.d}, frontier has d={self.d}")
-            if t.size() < 2:
-                raise ValueError(f"interaction terms must have size >= 2, got {t}")
-            if t.mask in seen:
-                raise ValueError(f"duplicate interaction term {t}")
-            seen.add(t.mask)
-            key = (t.size(), t.mask)
-            if prev_key is not None and key < prev_key:
-                raise ValueError("terms must be ordered by size, then colexicographically")
+            if not 0 <= t < 1 << self.d:
+                raise ValueError(f"term mask {t:#x} out of range for d={self.d}")
+            if t.bit_count() < 2:
+                raise ValueError(f"interaction terms must have size >= 2, got mask {t:#x}")
+            key = (t.bit_count(), t)
+            if key <= prev_key:
+                raise ValueError(
+                    "terms must be distinct, ordered by size, then colexicographically"
+                )
             prev_key = key
 
     @property
@@ -47,18 +46,15 @@ class InteractionFrontier:
     @property
     def column_masks(self) -> list[int]:
         """Masks of the d' regression columns: the singletons, then the terms."""
-        return [1 << i for i in range(self.d)] + [t.mask for t in self.terms]
+        return [1 << i for i in range(self.d)] + list(self.terms)
 
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __iter__(self) -> Iterator[Coalition]:
-        return iter(self.terms)
-
 
 def _sorted_frontier(d: int, masks: Iterable[int], label: str) -> InteractionFrontier:
     ordered = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    return InteractionFrontier(d, tuple(Coalition(m, d) for m in ordered), label)
+    return InteractionFrontier(d, tuple(ordered), label)
 
 
 def empty_frontier(d: int) -> InteractionFrontier:
@@ -155,24 +151,16 @@ def log_frontier(d: int, seed: int) -> InteractionFrontier:
 
 def save_frontier(frontier: InteractionFrontier, path: str) -> None:
     """One bitstring per line, for experiment provenance."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in frontier.terms:
-            fh.write(t.bitstring() + "\n")
+    write_rows(path, [], frontier.d, ((t, ()) for t in frontier.terms))
 
 
 def load_frontier(path: str, d: int | None = None) -> InteractionFrontier:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines and d is None:
-        raise ValueError(f"{path}: empty frontier file needs an explicit d")
-    masks = []
-    inferred = d if d is not None else len(lines[0])
-    for ln in lines:
-        c = Coalition.from_bitstring(ln)
-        if c.d != inferred:
-            raise ValueError(f"{path}: inconsistent bitstring length {len(ln)}")
-        masks.append(c.mask)
-    return _sorted_frontier(inferred, masks, "custom")
+    """Read a frontier file; d defaults to the length of its first bitstring."""
+    _, d, rows = read_rows(path, 0, d)
+    try:
+        return _sorted_frontier(d, (mask for mask, _ in rows), "custom")
+    except ValueError as exc:
+        raise FileFormatError(path, str(exc)) from None
 
 
 def parse_frontier_spec(spec: str, d: int, seed: int = 0) -> InteractionFrontier:

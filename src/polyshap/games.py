@@ -14,11 +14,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .coalitions import Coalition, binomial, fold, membership, _check_d
-
-
-class GameFileError(ValueError):
-    """A game file failed to parse or violated its format contract."""
+from .coalitions import Coalition, FileFormatError, binomial, fold, membership, _check_d
+from .coalitions import read_rows, write_rows
 
 
 class LookupMissError(KeyError):
@@ -154,51 +151,21 @@ class LookupGame(Game):
             raise LookupMissError(coalition.bitstring()) from None
 
 
-def _parse_game_lines(path: str, kind: str) -> tuple[int, dict[int, float]]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise GameFileError(f"cannot read {kind} file {path}: {exc}") from exc
-    rows = [ln.strip() for ln in lines if ln.strip() and not ln.startswith("#")]
-    if not rows or not rows[0].startswith("d="):
-        raise GameFileError(f"{path}: expected header 'd=<int>' on the first line")
-    try:
-        d = int(rows[0][2:])
-    except ValueError as exc:
-        raise GameFileError(f"{path}: malformed header {rows[0]!r}") from exc
-    try:
-        _check_d(d)
-    except ValueError as exc:
-        raise GameFileError(f"{path}: {exc}") from exc
-    table: dict[int, float] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        parts = row.split(",")
-        if len(parts) != 2:
-            raise GameFileError(f"{path}:{lineno}: expected '<bitstring>,<value>'")
-        bits, raw = parts[0].strip(), parts[1].strip()
-        if len(bits) != d or any(ch not in "01" for ch in bits):
-            raise GameFileError(f"{path}:{lineno}: bad bitstring {bits!r} for d={d}")
-        mask = Coalition.from_bitstring(bits).mask
-        if mask in table:
-            raise GameFileError(f"{path}:{lineno}: duplicate coalition {bits!r}")
-        try:
-            table[mask] = float(raw)
-        except ValueError as exc:
-            raise GameFileError(f"{path}:{lineno}: bad value {raw!r}") from exc
-    return d, table
+def _read_game(path: str) -> tuple[int, dict[int, float]]:
+    header, d, rows = read_rows(path, 1)
+    if "d" not in header:
+        raise FileFormatError(path, "expected header 'd=<int>' before the rows")
+    return d, {mask: value for mask, (value,) in rows}
 
 
 def load_lookup_game(path: str) -> LookupGame:
     """Read a ``.game`` file: header ``d=<int>``, then ``<bitstring>,<float>`` rows."""
-    d, table = _parse_game_lines(path, "lookup game")
-    return LookupGame(d, table)
+    return LookupGame(*_read_game(path))
 
 
 def load_mobius_game(path: str) -> MobiusGame:
     """Read a ``.mobius`` file: header ``d=<int>``, then ``<bitstring>,<coefficient>`` rows."""
-    d, terms = _parse_game_lines(path, "mobius game")
-    return MobiusGame(d, terms)
+    return MobiusGame(*_read_game(path))
 
 
 def load_game(path: str) -> Game:
@@ -209,18 +176,13 @@ def load_game(path: str) -> Game:
 
 
 def save_mobius_game(game: MobiusGame, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"d={game.d}\n")
-        for mask in sorted(game.terms, key=lambda m: (m.bit_count(), m)):
-            fh.write(f"{Coalition(mask, game.d).bitstring()},{game.terms[mask]!r}\n")
+    ordered = sorted(game.terms, key=lambda m: (m.bit_count(), m))
+    write_rows(path, [f"d={game.d}"], game.d, ((mask, (game.terms[mask],)) for mask in ordered))
 
 
 def dump_lookup_file(game: Game, path: str) -> None:
     """Write the complete value table of a small game as a ``.game`` file."""
     if game.d > 24:
         raise ValueError(f"complete tables are limited to d <= 24, got d={game.d}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"d={game.d}\n")
-        for mask in range(1 << game.d):
-            c = Coalition(mask, game.d)
-            fh.write(f"{c.bitstring()},{game.evaluate(c)!r}\n")
+    rows = ((mask, (game.evaluate(Coalition(mask, game.d)),)) for mask in range(1 << game.d))
+    write_rows(path, [f"d={game.d}"], game.d, rows)

@@ -40,7 +40,6 @@ class DesignSystem:
 
     matrix: np.ndarray
     target: np.ndarray
-    columns: tuple[Coalition, ...]
     constraint_value: float
     d: int
 
@@ -75,11 +74,9 @@ def build_design(batch, frontier: InteractionFrontier) -> DesignSystem:
     weights = np.asarray(batch.weights, dtype=float)
     matrix *= weights[:, None]
     target = weights * (np.asarray(batch.values, dtype=float) - batch.nu_empty)
-    columns = tuple(Coalition(1 << i, batch.d) for i in range(batch.d)) + frontier.terms
     return DesignSystem(
         matrix=matrix,
         target=target,
-        columns=columns,
         constraint_value=batch.nu_full - batch.nu_empty,
         d=batch.d,
     )

@@ -29,21 +29,13 @@ enumerated rows stand for their own.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coalitions import (
-    Coalition,
-    binomial,
-    enumerate_subset_masks,
-    masks_from_membership,
-    shapley_weight,
-)
-from .frontier import InteractionFrontier
+from .coalitions import Coalition, FileFormatError, binomial, enumerate_subset_masks
+from .coalitions import masks_from_membership, read_rows, shapley_weight, write_rows
 from .games import Game
-from .regression import full_design_matrix
 
 
 @dataclass
@@ -192,107 +184,34 @@ def sample(cfg: SamplerConfig, game: Game) -> SampleBatch:
 
 def save_batch(batch: SampleBatch, path: str) -> None:
     """CSV dump (bitstring, weight, value) with metadata comments, for exact replay."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# d={batch.d}\n")
-        fh.write(f"# nu_empty={batch.nu_empty!r}\n")
-        fh.write(f"# nu_full={batch.nu_full!r}\n")
-        fh.write(f"# enumerated_sizes={','.join(map(str, sorted(batch.enumerated_sizes)))}\n")
-        fh.write(f"# odd_unpaired={int(batch.odd_unpaired)}\n")
-        fh.write("bitstring,weight,value\n")
-        for mask, w, v in zip(batch.masks, batch.weights, batch.values):
-            fh.write(f"{Coalition(mask, batch.d).bitstring()},{float(w)!r},{float(v)!r}\n")
+    header = [
+        f"# d={batch.d}",
+        f"# nu_empty={batch.nu_empty!r}",
+        f"# nu_full={batch.nu_full!r}",
+        f"# enumerated_sizes={','.join(map(str, sorted(batch.enumerated_sizes)))}",
+        f"# odd_unpaired={int(batch.odd_unpaired)}",
+        "bitstring,weight,value",
+    ]
+    write_rows(path, header, batch.d, zip(batch.masks, zip(batch.weights, batch.values)))
 
 
 def load_batch(path: str) -> SampleBatch:
-    meta: dict[str, str] = {}
-    masks: list[int] = []
-    weights: list[float] = []
-    values: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                meta[key.strip()] = val.strip()
-                continue
-            if line.startswith("bitstring"):
-                continue
-            bits, w, v = line.split(",")
-            if len(bits) != int(meta["d"]):
-                raise ValueError(
-                    f"{path}:{lineno}: bitstring {bits!r} has {len(bits)} players, "
-                    f"expected d={meta['d']}"
-                )
-            masks.append(Coalition.from_bitstring(bits).mask)
-            weights.append(float(w))
-            values.append(float(v))
-    d = int(meta["d"])
-    sizes = meta.get("enumerated_sizes", "")
-    return SampleBatch(
-        d=d,
-        masks=masks,
-        weights=np.array(weights),
-        values=np.array(values),
-        nu_empty=float(meta["nu_empty"]),
-        nu_full=float(meta["nu_full"]),
-        enumerated_sizes=frozenset(int(s) for s in sizes.split(",") if s),
-        effective_m=2 + len(masks),
-        odd_unpaired=bool(int(meta.get("odd_unpaired", "0"))),
-    )
-
-
-def leverage_scores_bruteforce(
-    d: int, frontier: InteractionFrontier
-) -> dict[int, float]:
-    """Per-size row influence of the full projected design, by direct pseudoinverse.
-
-    Builds the complete 2^d x d' matrix, projects off the all-ones direction,
-    and evaluates the quadratic form for every row. Scores are constant per
-    size when the frontier is symmetric under player permutations, i.e. holds
-    all or none of the C(d, t) subsets of each size t; other frontiers are
-    rejected. That constancy and the trace identity (scores sum to the
-    projected rank) are verified, not assumed.
-    """
-    if d > 14:
-        raise ValueError(f"brute-force leverage scores need d <= 14, got d={d}")
-    if frontier.d != d:
-        raise ValueError(f"dimension mismatch: d={d}, frontier d={frontier.d}")
-    per_term_size = Counter(t.size() for t in frontier.terms)
-    for t, count in sorted(per_term_size.items()):
-        if count != binomial(d, t):
-            raise ValueError(
-                f"leverage scores need a permutation-symmetric frontier: it holds "
-                f"{count} of the {binomial(d, t)} subsets of size {t}"
-            )
-    x = full_design_matrix(d, frontier)
-    n_cols = frontier.n_columns
-    xp = x - x.sum(axis=1)[:, None] / n_cols
-    # Pseudoinverse of the projected Gram via SVD of the projected design;
-    # the default eigenvalue cutoff of pinv sits at the noise floor of the
-    # null direction and corrupts the quadratic form.
-    _, singulars, vt = np.linalg.svd(xp, full_matrices=False)
-    cutoff = singulars.max() * max(xp.shape) * np.finfo(float).eps if singulars.size else 0.0
-    keep = singulars > cutoff
-    rank = int(keep.sum())
-    gram_pinv = (vt[keep].T * singulars[keep] ** -2) @ vt[keep]
-    scores = np.einsum("ij,jk,ik->i", xp, gram_pinv, xp)
-    if scores.min() < -1e-10:
-        raise AssertionError(f"negative leverage score: {scores.min()!r}")
-    scores = np.clip(scores, 0.0, None)
-    total = float(scores.sum())
-    if abs(total - rank) > 1e-6 * max(1.0, rank):
-        raise AssertionError(
-            f"leverage scores sum to {total!r}, expected projected rank {rank}"
+    header, _, rows = read_rows(path, 2)
+    try:
+        return SampleBatch(
+            d=int(header["d"]),
+            masks=[mask for mask, _ in rows],
+            weights=np.array([w for _, (w, _) in rows]),
+            values=np.array([v for _, (_, v) in rows]),
+            nu_empty=float(header["nu_empty"]),
+            nu_full=float(header["nu_full"]),
+            enumerated_sizes=frozenset(
+                int(s) for s in header.get("enumerated_sizes", "").split(",") if s
+            ),
+            effective_m=2 + len(rows),
+            odd_unpaired=bool(int(header.get("odd_unpaired", "0"))),
         )
-    sizes = np.array([int(m).bit_count() for m in range(1 << d)])
-    per_size: dict[int, float] = {}
-    for s in range(d + 1):
-        vals = scores[sizes == s]
-        if float(vals.max() - vals.min()) >= 1e-8:
-            raise AssertionError(
-                f"leverage scores vary within size {s}: spread {vals.max() - vals.min()!r}"
-            )
-        per_size[s] = float(vals.mean())
-    return per_size
+    except KeyError as exc:
+        raise FileFormatError(path, f"missing header {exc}") from None
+    except ValueError as exc:
+        raise FileFormatError(path, str(exc)) from None

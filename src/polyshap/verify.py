@@ -7,6 +7,7 @@ acceptance tests, so the guarantees are exercised on every change.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,10 +20,10 @@ from .estimators import (
     project_2poly_to_sv,
 )
 from .evaluation import bruteforce_shapley
-from .frontier import empty_frontier, k_additive, percent_of_order
+from .frontier import InteractionFrontier, empty_frontier, k_additive, percent_of_order
 from .games import make_random_game
-from .regression import build_design, constrained_lstsq
-from .sampling import SamplerConfig, leverage_scores_bruteforce, sample
+from .regression import build_design, constrained_lstsq, full_design_matrix
+from .sampling import SamplerConfig, sample
 
 
 @dataclass
@@ -154,6 +155,61 @@ def verify_projection_lemma(
         max_deviation=worst,
         n_trials=n_systems,
     )
+
+
+def leverage_scores_bruteforce(
+    d: int, frontier: InteractionFrontier
+) -> dict[int, float]:
+    """Per-size row influence of the full projected design, by direct pseudoinverse.
+
+    Builds the complete 2^d x d' matrix, projects off the all-ones direction,
+    and evaluates the quadratic form for every row. Scores are constant per
+    size when the frontier is symmetric under player permutations, i.e. holds
+    all or none of the C(d, t) subsets of each size t; other frontiers are
+    rejected. That constancy and the trace identity (scores sum to the
+    projected rank) are verified, not assumed.
+    """
+    if d > 14:
+        raise ValueError(f"brute-force leverage scores need d <= 14, got d={d}")
+    if frontier.d != d:
+        raise ValueError(f"dimension mismatch: d={d}, frontier d={frontier.d}")
+    per_term_size = Counter(t.bit_count() for t in frontier.terms)
+    for t, count in sorted(per_term_size.items()):
+        if count != binomial(d, t):
+            raise ValueError(
+                f"leverage scores need a permutation-symmetric frontier: it holds "
+                f"{count} of the {binomial(d, t)} subsets of size {t}"
+            )
+    x = full_design_matrix(d, frontier)
+    n_cols = frontier.n_columns
+    xp = x - x.sum(axis=1)[:, None] / n_cols
+    # Pseudoinverse of the projected Gram via SVD of the projected design;
+    # the default eigenvalue cutoff of pinv sits at the noise floor of the
+    # null direction and corrupts the quadratic form.
+    _, singulars, vt = np.linalg.svd(xp, full_matrices=False)
+    cutoff = singulars.max() * max(xp.shape) * np.finfo(float).eps if singulars.size else 0.0
+    keep = singulars > cutoff
+    rank = int(keep.sum())
+    gram_pinv = (vt[keep].T * singulars[keep] ** -2) @ vt[keep]
+    scores = np.einsum("ij,jk,ik->i", xp, gram_pinv, xp)
+    if scores.min() < -1e-10:
+        raise AssertionError(f"negative leverage score: {scores.min()!r}")
+    scores = np.clip(scores, 0.0, None)
+    total = float(scores.sum())
+    if abs(total - rank) > 1e-6 * max(1.0, rank):
+        raise AssertionError(
+            f"leverage scores sum to {total!r}, expected projected rank {rank}"
+        )
+    sizes = np.array([int(m).bit_count() for m in range(1 << d)])
+    per_size: dict[int, float] = {}
+    for s in range(d + 1):
+        vals = scores[sizes == s]
+        if float(vals.max() - vals.min()) >= 1e-8:
+            raise AssertionError(
+                f"leverage scores vary within size {s}: spread {vals.max() - vals.min()!r}"
+            )
+        per_size[s] = float(vals.mean())
+    return per_size
 
 
 def verify_leverage_closed_form(

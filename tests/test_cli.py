@@ -66,6 +66,19 @@ class TestExplain:
         # no partial output: the error object is the only stdout document
         assert captured.out.strip().count("\n") == 0
 
+    def test_mutated_game_file_exits_3(self, lookup_game_file, capsys):
+        path, _ = lookup_game_file
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines.insert(3, lines[2])  # repeat the coalition on line 3
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code = main(["explain", "--game", path, "--budget", "16"])
+        assert code == 3
+        blob = json.loads(capsys.readouterr().out)
+        assert blob["error"]["type"] == "parse"
+        assert blob["error"]["message"].startswith(f"{path}:4: repeated coalition")
+
     def test_budget_out_of_bounds_is_config_error(self, lookup_game_file, capsys):
         path, _ = lookup_game_file
         code = main(["explain", "--game", path, "--budget", "3"])
@@ -171,6 +184,23 @@ class TestBenchmarkCommand:
         path.write_text(json.dumps(config))
         code = main(["benchmark", "--config", str(path), "--out", str(tmp_path / "o.csv")])
         assert code == 2
+
+    def test_malformed_file_game_is_parse_error(self, tmp_path, capsys):
+        game = tmp_path / "short.game"
+        game.write_text("d=3\n10,1.0\n")
+        config = {
+            "games": [{"id": "g", "type": "file", "path": str(game)}],
+            "methods": [{"estimator": "kernelshap"}],
+            "budgets": [8],
+            "seeds": [0],
+        }
+        path = tmp_path / "file.json"
+        path.write_text(json.dumps(config))
+        code = main(["benchmark", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == 3
+        blob = json.loads(capsys.readouterr().out)
+        assert blob["error"]["type"] == "parse"
+        assert blob["error"]["message"].startswith(f"{game}:2: ")
 
     def test_unparseable_config(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -11,7 +11,6 @@ from polyshap.coalitions import (
     binomial,
     containment,
     enumerate_subset_masks,
-    enumerate_subsets,
     fold,
     masks_from_membership,
     membership,
@@ -32,11 +31,6 @@ class TestCoalition:
         assert Coalition.empty(5).size() == 0
         assert Coalition.full(5).size() == 5
 
-    def test_complement_involution(self):
-        c = Coalition.of([1, 2], 6)
-        assert c.complement().complement() == c
-        assert c.union(c.complement()) == Coalition.full(6)
-
     def test_high_bits_rejected(self):
         with pytest.raises(ValueError):
             Coalition(1 << 4, 4)
@@ -48,25 +42,10 @@ class TestCoalition:
     def test_subset_and_ops(self):
         a = Coalition.of([0, 1], 5)
         b = Coalition.of([0, 1, 3], 5)
-        assert a.issubset(b)
-        assert not b.issubset(a)
-        assert a.intersection(b) == a
         assert a.add(3) == b
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            Coalition.of([0], 4).union(Coalition.of([0], 5))
 
     def test_str_is_one_based(self):
         assert str(Coalition.of([0, 2], 4)) == "{1,3}"
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 128), st.data())
-    def test_complement_property(self, d, data):
-        mask = data.draw(st.integers(0, (1 << d) - 1))
-        c = Coalition(mask, d)
-        assert c.complement().size() == d - c.size()
-        assert c.intersection(c.complement()).size() == 0
 
 
 class TestBinomial:
@@ -108,10 +87,10 @@ class TestShapleyWeight:
 
 class TestEnumerateSubsets:
     def test_size_zero(self):
-        assert [c.bitstring() for c in enumerate_subsets(3, 0)] == ["000"]
+        assert list(enumerate_subset_masks(3, 0)) == [0]
 
     def test_d3_size2(self):
-        got = [c.members() for c in enumerate_subsets(3, 2)]
+        got = [Coalition(m, 3).members() for m in enumerate_subset_masks(3, 2)]
         assert got == [(0, 1), (0, 2), (1, 2)]
 
     def test_counts_and_distinct(self):
@@ -130,7 +109,7 @@ class TestEnumerateSubsets:
 
     def test_size_above_d_rejected(self):
         with pytest.raises(ValueError):
-            list(enumerate_subsets(3, 4))
+            list(enumerate_subset_masks(3, 4))
 
 
 BOUNDARY_DIMS = (1, 7, 8, 9, 63, 64, 65, 127, 128)
@@ -172,6 +151,21 @@ class TestMembership:
     def test_inverse_round_trips(self, d, data):
         masks = data.draw(masks_for(d))
         assert masks_from_membership(membership(masks, d)) == masks
+
+
+class TestBitstring:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(BOUNDARY_DIMS), st.data())
+    def test_player_i_is_character_i(self, d, data):
+        mask = data.draw(st.integers(0, (1 << d) - 1))
+        text = Coalition(mask, d).bitstring()
+        assert text == "".join("1" if mask >> i & 1 else "0" for i in range(d))
+        assert Coalition.from_bitstring(text) == Coalition(mask, d)
+
+    @pytest.mark.parametrize("text", ["", "1x1", "012", " 01", "1" * 129])
+    def test_malformed_rejected(self, text):
+        with pytest.raises(ValueError):
+            Coalition.from_bitstring(text)
 
 
 class TestContainment:

@@ -35,7 +35,7 @@ def mask_of(players, d):
 class TestPolyshapToSv:
     def test_single_pair(self):
         d = 3
-        frontier = InteractionFrontier(d, (Coalition.of([0, 1], d),), "pair")
+        frontier = InteractionFrontier(d, (Coalition.of([0, 1], d).mask,), "pair")
         sv = polyshap_to_sv(np.array([1.0, 0.0, 2.0, 1.0]), frontier)
         assert np.allclose(sv, [1.5, 0.5, 2.0])
 
@@ -45,7 +45,7 @@ class TestPolyshapToSv:
 
     def test_triple_split(self):
         d = 4
-        frontier = InteractionFrontier(d, (Coalition.of([0, 1, 2], d),), "triple")
+        frontier = InteractionFrontier(d, (Coalition.of([0, 1, 2], d).mask,), "triple")
         sv = polyshap_to_sv(np.array([0.0, 0.0, 0.0, 0.0, 3.0]), frontier)
         assert np.allclose(sv, [1.0, 1.0, 1.0, 0.0])
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyshap.coalitions import Coalition, binomial
+from polyshap.coalitions import binomial
 from polyshap.frontier import (
     InteractionFrontier,
     empty_frontier,
@@ -19,10 +19,10 @@ from polyshap.frontier import (
 
 
 def assert_well_formed(frontier):
-    sizes = [t.size() for t in frontier.terms]
+    sizes = [t.bit_count() for t in frontier.terms]
     assert all(s >= 2 for s in sizes)
     assert sizes == sorted(sizes)
-    masks = [t.mask for t in frontier.terms]
+    masks = list(frontier.terms)
     assert len(set(masks)) == len(masks)
     # colex within each size
     for s in set(sizes):
@@ -63,15 +63,15 @@ class TestKAdditive:
 class TestPartial:
     def test_exact_pair_boundary(self):
         f = partial(10, 45, seed=0)
-        assert {t.mask for t in f.terms} == {t.mask for t in k_additive(10, 2).terms}
+        assert set(f.terms) == set(k_additive(10, 2).terms)
 
     def test_pairs_plus_five_triples(self):
         f = partial(10, 50, seed=3)
-        sizes = [t.size() for t in f.terms]
+        sizes = [t.bit_count() for t in f.terms]
         assert sizes.count(2) == 45
         assert sizes.count(3) == 5
         again = partial(10, 50, seed=3)
-        assert [t.mask for t in f.terms] == [t.mask for t in again.terms]
+        assert list(f.terms) == list(again.terms)
 
     def test_zero_is_empty(self):
         assert len(partial(10, 0, seed=0)) == 0
@@ -79,7 +79,7 @@ class TestPartial:
     def test_different_seed_differs(self):
         a = partial(10, 50, seed=1)
         b = partial(10, 50, seed=2)
-        assert [t.mask for t in a.terms] != [t.mask for t in b.terms]
+        assert list(a.terms) != list(b.terms)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -92,17 +92,17 @@ class TestPartial:
 class TestPercentOfOrder:
     def test_half_of_triples(self):
         f = percent_of_order(10, 3, 0.5, seed=0)
-        sizes = [t.size() for t in f.terms]
+        sizes = [t.bit_count() for t in f.terms]
         assert sizes.count(2) == 45
         assert sizes.count(3) == 60  # floor(0.5 * 120)
 
     def test_full_fraction_equals_k_additive(self):
         f = percent_of_order(10, 3, 1.0, seed=0)
-        assert {t.mask for t in f.terms} == {t.mask for t in k_additive(10, 3).terms}
+        assert set(f.terms) == set(k_additive(10, 3).terms)
 
     def test_zero_fraction_equals_lower_order(self):
         f = percent_of_order(10, 3, 0.0, seed=0)
-        assert {t.mask for t in f.terms} == {t.mask for t in k_additive(10, 2).terms}
+        assert set(f.terms) == set(k_additive(10, 2).terms)
 
     def test_label(self):
         assert percent_of_order(10, 3, 0.5, seed=0).order_label == "k=3@50%"
@@ -114,7 +114,7 @@ class TestPercentOfOrder:
 class TestLogFrontier:
     def test_d60_counts(self):
         f = log_frontier(60, seed=0)
-        sizes = [t.size() for t in f.terms]
+        sizes = [t.bit_count() for t in f.terms]
         assert sizes.count(2) == 1770
         # independent arithmetic: floor(60 * ln C(60,3))
         expected = math.floor(60 * math.log(binomial(60, 3)))
@@ -123,14 +123,14 @@ class TestLogFrontier:
 
     def test_d4_counts(self):
         f = log_frontier(4, seed=0)
-        sizes = [t.size() for t in f.terms]
+        sizes = [t.bit_count() for t in f.terms]
         assert sizes.count(2) == 6
         assert sizes.count(3) == min(math.floor(4 * math.log(4)), 4) == 4
 
     def test_deterministic(self):
         a = log_frontier(12, seed=9)
         b = log_frontier(12, seed=9)
-        assert [t.mask for t in a.terms] == [t.mask for t in b.terms]
+        assert list(a.terms) == list(b.terms)
 
     def test_needs_d4(self):
         with pytest.raises(ValueError):
@@ -140,16 +140,16 @@ class TestLogFrontier:
 class TestFrontierType:
     def test_rejects_singletons(self):
         with pytest.raises(ValueError):
-            InteractionFrontier(4, (Coalition.of([1], 4),))
+            InteractionFrontier(4, (0b0010,))
 
     def test_rejects_duplicates(self):
-        t = Coalition.of([0, 1], 4)
+        t = 0b0011
         with pytest.raises(ValueError):
             InteractionFrontier(4, (t, t))
 
     def test_rejects_bad_order(self):
-        t3 = Coalition.of([0, 1, 2], 4)
-        t2 = Coalition.of([0, 1], 4)
+        t3 = 0b0111
+        t2 = 0b0011
         with pytest.raises(ValueError):
             InteractionFrontier(4, (t3, t2))
 
@@ -168,7 +168,7 @@ class TestSerialization:
         path = tmp_path / "frontier.txt"
         save_frontier(f, str(path))
         loaded = load_frontier(str(path))
-        assert [t.mask for t in loaded.terms] == [t.mask for t in f.terms]
+        assert list(loaded.terms) == list(f.terms)
 
     def test_empty_needs_d(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -183,7 +183,7 @@ class TestParseSpec:
 
     def test_percent(self):
         f = parse_frontier_spec("3@50", 10, seed=1)
-        sizes = [t.size() for t in f.terms]
+        sizes = [t.bit_count() for t in f.terms]
         assert sizes.count(3) == 60
 
     def test_log(self):

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from polyshap.coalitions import Coalition
+from polyshap.coalitions import Coalition, FileFormatError
 from polyshap.evaluation import bruteforce_shapley
 from polyshap.games import (
-    GameFileError,
     LookupMissError,
     MobiusGame,
     dump_lookup_file,
@@ -150,19 +149,19 @@ class TestLookupGame:
     def test_duplicate_rows_rejected(self, tmp_path):
         path = tmp_path / "dup.game"
         path.write_text("d=2\n00,0.0\n00,1.0\n")
-        with pytest.raises(GameFileError):
+        with pytest.raises(FileFormatError):
             load_lookup_game(str(path))
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.game"
         path.write_text("players=2\n00,0.0\n")
-        with pytest.raises(GameFileError):
+        with pytest.raises(FileFormatError):
             load_lookup_game(str(path))
 
     def test_bad_bitstring_length(self, tmp_path):
         path = tmp_path / "bad2.game"
         path.write_text("d=3\n00,0.0\n")
-        with pytest.raises(GameFileError):
+        with pytest.raises(FileFormatError):
             load_lookup_game(str(path))
 
     def test_roundtrip_full_table(self, tmp_path):

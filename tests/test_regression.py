@@ -48,7 +48,7 @@ class TestBuildDesign:
     def test_row_entries(self):
         d = 4
         frontier = InteractionFrontier(
-            d, (Coalition.of([0, 1], d), Coalition.of([0, 2], d)), "test"
+            d, (mask_of([0, 1], d), mask_of([0, 2], d)), "test"
         )
         g = MobiusGame(d, {mask_of([0], d): 1.0})
         batch = sample(SamplerConfig(budget_m=16, paired=False, seed=0), g)
@@ -74,7 +74,7 @@ class TestBuildDesign:
         system = build_design(batch, frontier)
         for j, term in enumerate(frontier.terms):
             col = system.matrix[:, 5 + j]
-            singles = system.matrix[:, list(term.members())]
+            singles = system.matrix[:, [i for i in range(5) if term >> i & 1]]
             assert np.array_equal(col != 0, (singles != 0).all(axis=1))
 
     def test_dimension_mismatch(self):
@@ -220,7 +220,7 @@ class TestSolveExactFull:
     def test_unanimity_game_mass_on_pair(self):
         d = 3
         g = MobiusGame(d, {mask_of([0, 1], d): 1.0})
-        frontier = InteractionFrontier(d, (Coalition.of([0, 1], d),), "pair")
+        frontier = InteractionFrontier(d, (mask_of([0, 1], d),), "pair")
         report = solve_exact_full(g, frontier)
         assert np.allclose(report.coefficients, [0.0, 0.0, 0.0, 1.0], atol=1e-10)
         assert report.residual_norm < 1e-10

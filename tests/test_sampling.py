@@ -10,11 +10,11 @@ from polyshap.regression import build_design, full_design_matrix
 from polyshap.sampling import (
     SampleBatch,
     SamplerConfig,
-    leverage_scores_bruteforce,
     load_batch,
     sample,
     save_batch,
 )
+from polyshap.verify import leverage_scores_bruteforce
 
 
 class TestSample:
