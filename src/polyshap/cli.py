@@ -23,6 +23,7 @@ from .evaluation import (
     plot_data,
     rows_to_csv,
     run_benchmark,
+    series_label,
 )
 from .frontier import k_additive, parse_frontier_spec
 from .games import load_game, make_random_game, save_mobius_game
@@ -148,7 +149,7 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     )
     for failure in result.failures[:20]:
         print(
-            f"failure: {failure.game_id}#{failure.instance} {failure.method} "
+            f"failure: {failure.game_id}#{failure.instance} {series_label(failure)} "
             f"budget={failure.budget} seed={failure.seed}: {failure.error}"
         )
     return EXIT_OK

@@ -196,9 +196,10 @@ def read_rows(
     Header lines are ``key=value``, with or without a leading ``#``, and
     come before the first row; other ``#`` lines, blank lines and the
     ``bitstring,...`` column line are skipped. Each row is a bitstring and
-    ``n_fields`` floats. The player count is the header's ``d``, else the
-    ``d`` given, else the length of the first bitstring. Every malformed
-    line, a repeated coalition included, raises ``FileFormatError``.
+    ``n_fields`` floats. The player count is the header's ``d``, which
+    must agree with the ``d`` given; without a header it is the ``d``
+    given, else the length of the first bitstring. Every malformed line,
+    a repeated coalition included, raises ``FileFormatError``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -216,10 +217,13 @@ def read_rows(
             header[key] = value
             if key == "d":
                 try:
-                    d = int(value)
-                    _check_d(d)
+                    header_d = int(value)
+                    _check_d(header_d)
                 except ValueError as exc:
                     raise FileFormatError(path, f"bad header {text!r}: {exc}", line) from None
+                if d is not None and header_d != d:
+                    raise FileFormatError(path, f"header {text!r} disagrees with d={d}", line)
+                d = header_d
             continue
         if not text or text.startswith(("#", "bitstring")):
             continue

@@ -2,9 +2,11 @@
 
 The harness sweeps (game x method x budget x seed) cells, compares each
 run's estimates against an exact oracle, and aggregates per-run metrics
-into mean +/- SEM rows, pooled over instances and seeds. Cells whose budget
-cannot support the method are recorded as absent rather than silently
-dropped; individual failures are collected and the sweep continues.
+into mean +/- SEM rows, pooled over instances and seeds. One game instance
+is the unit of work: its game, its oracle and each frontier are built once.
+Cells whose budget cannot support the method are recorded as absent rather
+than silently dropped; individual failures are collected and the sweep
+continues.
 """
 
 from __future__ import annotations
@@ -18,11 +20,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .coalitions import Coalition, binomial
-from .estimators import (
-    AttributionResult,
-    permutation_baseline,
-    polyshap,
-)
+from .estimators import permutation_baseline, polyshap
 from .frontier import InteractionFrontier, empty_frontier, parse_frontier_spec
 from .games import Game, MobiusGame, load_game, make_random_game, mobius_exact_shapley
 from .sampling import SamplerConfig
@@ -264,143 +262,107 @@ def derive_run_seed(base_seed: int, instance: int, budget: int) -> int:
     return int(mix)
 
 
-def _run_single(
-    game: Game,
-    truth: np.ndarray,
-    method: MethodSpec,
-    budget: int,
-    run_seed: int,
-    metrics: Sequence[str],
-    k: int,
-) -> tuple[dict[str, float], AttributionResult, int]:
-    before = game.eval_counter
-    if method.estimator == "permutation":
-        result = permutation_baseline(game, budget, run_seed)
-    else:
-        frontier = method.frontier_for(game.d)
-        cfg = SamplerConfig(budget_m=budget, paired=method.paired, seed=run_seed)
-        result = polyshap(game, frontier, cfg)
-    evals_used = game.eval_counter - before
-    values: dict[str, float] = {}
-    for name in metrics:
-        if name == "mse":
-            values[name] = mse(result.shapley, truth)
-        elif name == "precision_at_k":
-            values[name] = precision_at_k(result.shapley, truth, min(k, game.d))
-        elif name == "spearman":
-            values[name] = spearman(result.shapley, truth)
-    return values, result, evals_used
+def series_label(cell: MetricsRow | SkippedCell | FailedCell) -> str:
+    """``method|frontier|paired-or-standard``: one method configuration of a cell."""
+    return f"{cell.method}|{cell.frontier}|{'paired' if cell.paired else 'standard'}"
 
 
-def _run_cell(args: tuple) -> tuple[list[RunRecord], list[FailedCell]]:
-    spec, instance, method, budget, seeds, metrics, k = args
-    est = method.estimator
+def _run_instance(args: tuple) -> tuple[list[RunRecord], list[FailedCell]]:
+    """Run every (method, budget) cell and seed of one instance on one game and oracle.
+
+    Game values are deterministic and cached evaluations are counted too, so
+    the cache warmed by earlier runs changes no estimate and no ``evals_used``.
+    """
+    spec, instance, cells, seeds, metrics, k = args
+
+    def failed(method: MethodSpec, label: str, budget: int, seed: int, exc: Exception):
+        cell = (spec.game_id, instance, method.estimator, label, method.paired, budget)
+        return FailedCell(*cell, seed, f"{type(exc).__name__}: {exc}")
+
     try:
         game = spec.build(instance)
         truth = oracle_shapley(game).shapley
-        est, frontier_label = method.label(game.d)
-    except Exception as exc:  # game/oracle failures poison the cell, not the sweep
-        return [], [
-            FailedCell(
-                game_id=spec.game_id,
-                instance=instance,
-                method=est,
-                frontier=method.frontier_spec or "",
-                paired=method.paired,
-                budget=budget,
-                seed=-1,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        ]
+    except Exception as exc:  # game/oracle failures poison the instance's cells, not the sweep
+        return [], [failed(method, label, budget, -1, exc) for method, _, label, budget in cells]
     records: list[RunRecord] = []
     failures: list[FailedCell] = []
-    for seed in seeds:
-        run_seed = derive_run_seed(seed, instance, budget)
-        try:
-            values, result, evals_used = _run_single(
-                game, truth, method, budget, run_seed, metrics, k
-            )
-        except Exception as exc:  # cell failures recorded, sweep continues
-            failures.append(
-                FailedCell(
+    for method, frontier, label, budget in cells:
+        for seed in seeds:
+            run_seed = derive_run_seed(seed, instance, budget)
+            before = game.eval_counter
+            try:
+                if frontier is None:
+                    result = permutation_baseline(game, budget, run_seed)
+                else:
+                    cfg = SamplerConfig(budget_m=budget, paired=method.paired, seed=run_seed)
+                    result = polyshap(game, frontier, cfg)
+                evals_used = game.eval_counter - before
+                values: dict[str, float] = {}
+                for name in metrics:
+                    if name == "mse":
+                        values[name] = mse(result.shapley, truth)
+                    elif name == "precision_at_k":
+                        values[name] = precision_at_k(result.shapley, truth, min(k, game.d))
+                    elif name == "spearman":
+                        values[name] = spearman(result.shapley, truth)
+            except Exception as exc:  # run failures recorded, sweep continues
+                failures.append(failed(method, label, budget, seed, exc))
+                continue
+            records.append(
+                RunRecord(
                     game_id=spec.game_id,
                     instance=instance,
-                    method=est,
-                    frontier=frontier_label,
+                    method=method.estimator,
+                    frontier=label,
                     paired=method.paired,
                     budget=budget,
                     seed=seed,
-                    error=f"{type(exc).__name__}: {exc}",
+                    metrics=values,
+                    evals_used=evals_used,
+                    rank_deficient=bool(result.diagnostics.get("rank_deficient", False)),
                 )
             )
-            continue
-        records.append(
-            RunRecord(
-                game_id=spec.game_id,
-                instance=instance,
-                method=est,
-                frontier=frontier_label,
-                paired=method.paired,
-                budget=budget,
-                seed=seed,
-                metrics=values,
-                evals_used=evals_used,
-                rank_deficient=bool(result.diagnostics.get("rank_deficient", False)),
-            )
-        )
     return records, failures
-
-
-def _method_minimum_budget(method: MethodSpec, d: int) -> tuple[int, str]:
-    if method.estimator == "permutation":
-        return d + 1, f"budget below one permutation sweep (d+1={d + 1})"
-    frontier = method.frontier_for(d)
-    n_cols = frontier.n_columns
-    return max(n_cols, d + 2), f"columns d'={n_cols} exceed budget or budget below d+2"
 
 
 def run_benchmark(config: BenchmarkConfig, jobs: int = 1) -> BenchmarkResult:
     config.validate()
-    cells = []
+    work = []
     skipped: list[SkippedCell] = []
     seen_skip: set[tuple] = set()
     for spec in config.games:
         d = spec.d if spec.kind == "random" else load_game(spec.path).d
+        cells = []
         for method in config.methods:
-            est, frontier_label = method.label(d)
-            minimum, reason = _method_minimum_budget(method, d)
+            frontier = method.frontier_for(d)
+            if frontier is None:
+                label, minimum = "", d + 1
+                reason = f"budget below one permutation sweep (d+1={d + 1})"
+            else:
+                label, minimum = frontier.order_label, max(frontier.n_columns, d + 2)
+                reason = f"columns d'={frontier.n_columns} exceed budget or budget below d+2"
             for budget in config.budgets:
-                if budget < minimum:
-                    key = (spec.game_id, est, frontier_label, method.paired, budget)
-                    if key not in seen_skip:
-                        seen_skip.add(key)
-                        skipped.append(SkippedCell(*key, reason=reason))
+                if budget >= minimum:
+                    cells.append((method, frontier, label, budget))
                     continue
-                for instance in range(spec.instances):
-                    cells.append(
-                        (
-                            spec,
-                            instance,
-                            method,
-                            budget,
-                            tuple(config.seeds),
-                            tuple(config.metrics),
-                            config.k_for_precision,
-                        )
-                    )
+                key = (spec.game_id, method.estimator, label, method.paired, budget)
+                if key not in seen_skip:
+                    seen_skip.add(key)
+                    skipped.append(SkippedCell(*key, reason=reason))
+        if cells:
+            shared = (tuple(cells), tuple(config.seeds), tuple(config.metrics))
+            work.extend((spec, i, *shared, config.k_for_precision) for i in range(spec.instances))
 
     runs: list[RunRecord] = []
     failures: list[FailedCell] = []
-    if jobs > 1 and len(cells) > 1:
+    if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for records, fails in pool.map(_run_cell, cells, chunksize=4):
-                runs.extend(records)
-                failures.extend(fails)
+            outcomes = list(pool.map(_run_instance, work))
     else:
-        for cell in cells:
-            records, fails = _run_cell(cell)
-            runs.extend(records)
-            failures.extend(fails)
+        outcomes = map(_run_instance, work)
+    for records, fails in outcomes:
+        runs.extend(records)
+        failures.extend(fails)
 
     runs.sort(
         key=lambda r: (r.game_id, r.method, r.frontier, r.paired, r.budget, r.instance, r.seed)
@@ -480,8 +442,7 @@ def plot_data(result: BenchmarkResult) -> dict[str, Any]:
     for row in result.rows:
         game_block = series.setdefault(row.game_id, {})
         metric_block = game_block.setdefault(row.metric, {})
-        label = f"{row.method}|{row.frontier}|{'paired' if row.paired else 'standard'}"
-        metric_block.setdefault(label, []).append(
+        metric_block.setdefault(series_label(row), []).append(
             {
                 "budget": row.budget,
                 "mean": float(_fmt(row.mean)),
@@ -493,7 +454,7 @@ def plot_data(result: BenchmarkResult) -> dict[str, Any]:
         game_block = series.setdefault(cell.game_id, {})
         for metric in result.config.metrics:
             metric_block = game_block.setdefault(metric, {})
-            label = f"{cell.method}|{cell.frontier}|{'paired' if cell.paired else 'standard'}"
+            label = series_label(cell)
             metric_block.setdefault(label, []).append({"budget": cell.budget, "status": "absent"})
     for game_block in series.values():
         for metric_block in game_block.values():

@@ -150,12 +150,16 @@ def log_frontier(d: int, seed: int) -> InteractionFrontier:
 
 
 def save_frontier(frontier: InteractionFrontier, path: str) -> None:
-    """One bitstring per line, for experiment provenance."""
-    write_rows(path, [], frontier.d, ((t, ()) for t in frontier.terms))
+    """A ``d=`` header, then one bitstring per term, for experiment provenance."""
+    write_rows(path, [f"d={frontier.d}"], frontier.d, ((t, ()) for t in frontier.terms))
 
 
 def load_frontier(path: str, d: int | None = None) -> InteractionFrontier:
-    """Read a frontier file; d defaults to the length of its first bitstring."""
+    """Read a frontier file; a ``d`` given must match its ``d=`` header.
+
+    A headerless file, as written before the header existed, still loads:
+    ``d`` is then the one given, else the length of its first bitstring.
+    """
     _, d, rows = read_rows(path, 0, d)
     try:
         return _sorted_frontier(d, (mask for mask, _ in rows), "custom")

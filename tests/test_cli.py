@@ -202,6 +202,32 @@ class TestBenchmarkCommand:
         assert blob["error"]["type"] == "parse"
         assert blob["error"]["message"].startswith(f"{game}:2: ")
 
+    def test_failure_lines_name_frontier_and_pairing(self, tmp_path, capsys):
+        # lookup table without its grand coalition: the oracle fails on every cell
+        rows = ["d=4"] + [f"{m:04b}"[::-1] + ",1.0" for m in range(15)]
+        game = tmp_path / "partial.game"
+        game.write_text("\n".join(rows) + "\n")
+        config = {
+            "games": [{"id": "g", "type": "file", "path": str(game)}],
+            "methods": [
+                {"estimator": "polyshap", "frontier": "2", "paired": True},
+                {"estimator": "polyshap", "frontier": "3", "paired": True},
+                {"estimator": "kernelshap"},
+            ],
+            "budgets": [16],
+            "seeds": [0],
+        }
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(config))
+        code = main(["benchmark", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == 0
+        failures = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("failure:")]
+        assert [ln.split(":")[1] for ln in failures] == [
+            " g#0 kernelshap|k=1|standard budget=16 seed=-1",
+            " g#0 polyshap|k=2|paired budget=16 seed=-1",
+            " g#0 polyshap|k=3|paired budget=16 seed=-1",
+        ]
+
     def test_unparseable_config(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -156,6 +156,14 @@ class TestMetricInvariances:
         assert precision_at_k(scaled, b, 3) == pytest.approx(precision_at_k(a, b, 3))
 
 
+def partial_lookup_spec(tmp_path, d=3):
+    """A lookup game missing its grand coalition: the oracle cannot enumerate it."""
+    path = tmp_path / "partial.game"
+    rows = [f"d={d}"] + [f"{m:0{d}b}"[::-1] + ",1.0" for m in range((1 << d) - 1)]
+    path.write_text("\n".join(rows) + "\n")
+    return GameSpec(game_id="broken", kind="file", path=str(path))
+
+
 def tiny_config(**overrides):
     base = dict(
         games=[GameSpec(game_id="g", kind="random", d=6, max_order=2, n_terms=10, seed=5, instances=2)],
@@ -185,12 +193,54 @@ class TestRunBenchmark:
         csv_b = rows_to_csv(b.rows, b.skipped, b.config.metrics)
         assert csv_a == csv_b
 
-    def test_jobs_do_not_change_output(self):
-        a = run_benchmark(tiny_config(), jobs=1)
-        b = run_benchmark(tiny_config(), jobs=2)
+    def test_jobs_do_not_change_output(self, tmp_path):
+        config = tiny_config(
+            games=tiny_config().games + [partial_lookup_spec(tmp_path, d=6)], budgets=[16, 34, 64]
+        )
+        a = run_benchmark(config, jobs=1)
+        b = run_benchmark(config, jobs=2)
+        assert a.runs and a.skipped and a.failures
+        assert a.runs == b.runs
+        assert a.skipped == b.skipped
+        assert a.failures == b.failures
         assert rows_to_csv(a.rows, a.skipped, a.config.metrics) == rows_to_csv(
             b.rows, b.skipped, b.config.metrics
         )
+
+    def test_game_oracle_and_frontier_built_once(self, tmp_path, monkeypatch):
+        import polyshap.evaluation as evaluation
+        import polyshap.games as games
+
+        calls = {"oracle": 0, "random_game": 0, "frontier": 0, "file_read": 0}
+        path = tmp_path / "full.game"
+        games.dump_lookup_file(make_random_game(6, 2, 10, seed=9), str(path))
+
+        def counted(module, name, key, only_path=None):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                if only_path is None or args[0] == only_path:
+                    calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(evaluation, "oracle_shapley", "oracle")
+        counted(evaluation, "make_random_game", "random_game")
+        counted(evaluation, "parse_frontier_spec", "frontier")
+        counted(evaluation, "empty_frontier", "frontier")
+        counted(games, "read_rows", "file_read", str(path))
+        file_spec = GameSpec(game_id="file", kind="file", path=str(path), instances=2)
+        config = tiny_config(games=tiny_config().games + [file_spec])
+        result = run_benchmark(config)
+
+        assert not result.failures
+        random_instances = config.games[0].instances
+        assert calls["oracle"] == random_instances + file_spec.instances
+        assert calls["random_game"] == random_instances
+        assert calls["frontier"] == len(config.games) * len(config.methods)
+        # validate and run_benchmark each read the file once for its d
+        assert calls["file_read"] == 2 + file_spec.instances
 
     def test_absent_marker_when_columns_exceed_budget(self):
         config = tiny_config(budgets=[16, 64])
@@ -298,13 +348,10 @@ class TestConfigParsing:
     def test_oracle_failure_recorded_not_raised(self, tmp_path):
         # partial lookup table: the oracle cannot enumerate it, so the cell
         # must fail in place while the sweep carries on
-        path = tmp_path / "partial.game"
-        rows = ["d=3"] + [f"{m:03b}"[::-1] + ",1.0" for m in range(7)]
-        path.write_text("\n".join(rows) + "\n")
         config = tiny_config(
             games=[
                 GameSpec(game_id="ok", kind="random", d=6, max_order=2, n_terms=8, seed=5),
-                GameSpec(game_id="broken", kind="file", path=str(path)),
+                partial_lookup_spec(tmp_path),
             ],
             budgets=[8],
             methods=[MethodSpec(estimator="kernelshap", paired=False)],
@@ -312,3 +359,17 @@ class TestConfigParsing:
         result = run_benchmark(config)
         assert any(f.game_id == "broken" for f in result.failures)
         assert all(row.game_id == "ok" for row in result.rows)
+
+    def test_oracle_failure_names_each_cell(self, tmp_path):
+        methods = [
+            MethodSpec(estimator="kernelshap", paired=False),
+            MethodSpec(estimator="polyshap", frontier_spec="2", paired=True),
+        ]
+        config = tiny_config(games=[partial_lookup_spec(tmp_path)], budgets=[6, 8], methods=methods)
+        result = run_benchmark(config)
+        assert not result.runs and not result.skipped
+        cells = sorted((f.method, f.frontier, f.paired, f.budget) for f in result.failures)
+        expected = sorted((*m.label(3), m.paired, b) for m in methods for b in (6, 8))
+        assert cells == expected
+        assert all(f.seed == -1 and f.instance == 0 for f in result.failures)
+        assert all(f.error.startswith("LookupMissError") for f in result.failures)

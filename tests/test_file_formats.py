@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyshap.coalitions import FileFormatError
-from polyshap.frontier import load_frontier, percent_of_order, save_frontier
+from polyshap.frontier import InteractionFrontier, load_frontier, percent_of_order, save_frontier
 from polyshap.games import (
     dump_lookup_file,
     load_lookup_game,
@@ -91,9 +91,6 @@ def mutate(lines, rows, kind, data, fmt):
         lines[i] = ",".join([bits, *fields[:-1]])
     elif kind == "length":
         lines[i] = ",".join([bits + "0" if data.draw(st.booleans()) else bits[:-1], *fields])
-        if not fmt.required_header and i == rows[0]:
-            # without a header the first bitstring sets d, so the next row is the bad one
-            return rows[1] + 1
     elif kind == "character":
         pos = data.draw(st.integers(0, len(bits) - 1))
         bits = bits[:pos] + data.draw(st.sampled_from(NOT_A_BIT)) + bits[pos + 1 :]
@@ -156,6 +153,33 @@ class TestMutatedFilesRaiseNamedErrors:
         path.write_text("1100\n0100\n")
         with pytest.raises(FileFormatError, match="single.txt: interaction terms must have size >= 2"):
             load_frontier(str(path))
+
+
+class TestFrontierHeader:
+    def one_row_file(self, tmp_path):
+        path = tmp_path / "one.txt"
+        save_frontier(InteractionFrontier(4, (0b0011,)), str(path))
+        assert path.read_text() == "d=4\n1100\n"
+        return path
+
+    def test_truncated_one_row_file_raises(self, tmp_path):
+        path = self.one_row_file(tmp_path)
+        path.write_text("d=4\n110\n")
+        with pytest.raises(FileFormatError, match="one.txt:2: bitstring '110' has 3 players, expected d=4"):
+            load_frontier(str(path))
+
+    def test_header_disagreeing_with_given_d_raises(self, tmp_path):
+        path = self.one_row_file(tmp_path)
+        with pytest.raises(FileFormatError, match="one.txt:1: header 'd=4' disagrees with d=5"):
+            load_frontier(str(path), d=5)
+        assert load_frontier(str(path), d=4).terms == (0b0011,)
+
+    def test_headerless_legacy_file_loads(self, tmp_path):
+        path = tmp_path / "legacy.txt"
+        path.write_text("1100\n0110\n")
+        for d in (None, 4):
+            frontier = load_frontier(str(path), d)
+            assert (frontier.d, frontier.terms) == (4, (0b0011, 0b0110))
 
 
 class TestRoundTrip:
