@@ -1,7 +1,6 @@
 """Shapley value estimation via interaction-aware weighted least-squares regression."""
 
 from .coalitions import (
-    Coalition,
     FileFormatError,
     binomial,
     shapley_weight,

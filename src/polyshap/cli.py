@@ -164,7 +164,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(report.summary())
         for line in report.details:
             print("  " + line)
-        if report.asserted and not report.passed:
+        if not report.passed:
             failed = True
     return EXIT_PROPERTY if failed else EXIT_OK
 

@@ -1,9 +1,11 @@
-"""Coalitions as fixed-capacity bitsets, the mask codec, and kernel weights.
+"""Coalitions as int masks, their text form, the mask codec, and kernel weights.
 
 Players are indexed 0..d-1 internally; all user-facing text renders them
-1-based. A coalition is stored as an integer bitmask where bit i set means
-player i is present. The textual form is a binary string of length d with
-player 0 leftmost, e.g. "1010" is {0, 2} for d=4.
+1-based. A coalition is an integer bitmask where bit i set means player i
+is present. Its text form, ``bitstring``, is a binary string of length d
+with player 0 leftmost, e.g. "1010" is {0, 2} for d=4; ``parse_bitstring``
+reads it back. ``Coalition`` only wraps a mask, range-checked, as the
+argument of ``Game.evaluate``.
 
 Batches of masks enter numpy through one codec, ``membership``, an (n, d)
 boolean array, and leave it through its inverse, ``masks_from_membership``.
@@ -39,7 +41,7 @@ def _check_d(d: int) -> None:
 
 @dataclass(frozen=True)
 class Coalition:
-    """An immutable subset of the d players, held as a bitmask."""
+    """The argument of ``Game.evaluate``: a bitmask over d players, range-checked."""
 
     mask: int
     d: int
@@ -51,46 +53,18 @@ class Coalition:
                 f"mask {self.mask:#x} has bits outside the {self.d}-player range"
             )
 
-    @staticmethod
-    def empty(d: int) -> "Coalition":
-        return Coalition(0, d)
 
-    @staticmethod
-    def full(d: int) -> "Coalition":
-        return Coalition((1 << d) - 1, d)
+def bitstring(mask: int, d: int) -> str:
+    """The text form of a mask: d characters, player 0 leftmost."""
+    return format(mask, f"0{d}b")[::-1]
 
-    @staticmethod
-    def of(members: Sequence[int], d: int) -> "Coalition":
-        mask = 0
-        for i in members:
-            if not 0 <= i < d:
-                raise ValueError(f"player index {i} out of range for d={d}")
-            mask |= 1 << i
-        return Coalition(mask, d)
 
-    @staticmethod
-    def from_bitstring(text: str) -> "Coalition":
-        if not text or any(ch not in "01" for ch in text):
-            raise ValueError(f"not a coalition bitstring: {text!r}")
-        return Coalition(int(text[::-1], 2), len(text))
-
-    def bitstring(self) -> str:
-        return format(self.mask, f"0{self.d}b")[::-1]
-
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    def members(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.d) if self.mask >> i & 1)
-
-    def add(self, player: int) -> "Coalition":
-        if not 0 <= player < self.d:
-            raise ValueError(f"player index {player} out of range for d={self.d}")
-        return Coalition(self.mask | (1 << player), self.d)
-
-    def __str__(self) -> str:
-        # 1-based in human-readable output.
-        return "{" + ",".join(str(i + 1) for i in self.members()) + "}"
+def parse_bitstring(text: str) -> int:
+    """Inverse of ``bitstring``: the mask of a string of 1 to 128 zeros and ones."""
+    if not text or any(ch not in "01" for ch in text):
+        raise ValueError(f"not a coalition bitstring: {text!r}")
+    _check_d(len(text))
+    return int(text[::-1], 2)
 
 
 def binomial(n: int, k: int) -> int:
@@ -196,7 +170,7 @@ def read_rows(
     Header lines are ``key=value``, with or without a leading ``#``, and
     come before the first row; other ``#`` lines, blank lines and the
     ``bitstring,...`` column line are skipped. Each row is a bitstring and
-    ``n_fields`` floats. The player count is the header's ``d``, which
+    ``n_fields`` finite floats. The player count is the header's ``d``, which
     must agree with the ``d`` given; without a header it is the ``d``
     given, else the length of the first bitstring. Every malformed line,
     a repeated coalition included, raises ``FileFormatError``.
@@ -235,10 +209,12 @@ def read_rows(
             message = f"bitstring {bits!r} has {len(bits)} players, expected d={d}"
             raise FileFormatError(path, message, line)
         try:
-            mask = Coalition.from_bitstring(bits).mask
+            mask = parse_bitstring(bits)
             fields = tuple(map(float, raw_fields))
         except ValueError as exc:
             raise FileFormatError(path, str(exc), line) from None
+        if not all(map(math.isfinite, fields)):
+            raise FileFormatError(path, f"non-finite value in row {text!r}", line)
         if mask in seen:
             raise FileFormatError(path, f"repeated coalition {bits}", line)
         seen.add(mask)
@@ -254,5 +230,5 @@ def write_rows(path: str, header_lines: Sequence[str], d: int, rows: Iterable[Ro
         for text in header_lines:
             fh.write(text + "\n")
         for mask, fields in rows:
-            fh.write(",".join([Coalition(mask, d).bitstring(), *(repr(float(f)) for f in fields)]))
+            fh.write(",".join([bitstring(mask, d), *(repr(float(f)) for f in fields)]))
             fh.write("\n")

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any
 
 import numpy as np
 
-from .coalitions import Coalition, fold, membership
+from .coalitions import fold, membership
 from .frontier import InteractionFrontier, empty_frontier, k_additive
 from .games import Game
 from .regression import build_design, solve_constrained
@@ -136,19 +138,14 @@ def permutation_baseline(game: Game, budget_m: int, seed: int) -> AttributionRes
         raise ValueError(f"permutation baseline needs budget >= d+1={d + 1}, got {budget_m}")
     n_perms = (budget_m - 1) // d
     rng = np.random.default_rng(seed)
-    nu_empty = game.evaluate(Coalition.empty(d))
+    (nu_empty,) = game.evaluate_many([0]).tolist()
     phi = np.zeros(d)
     for _ in range(n_perms):
         perm = rng.permutation(d)
-        prev = nu_empty
-        coalition = Coalition.empty(d)
-        for player in perm:
-            coalition = coalition.add(int(player))
-            value = game.evaluate(coalition)
-            phi[int(player)] += value - prev
-            prev = value
+        chain = game.evaluate_many(accumulate((1 << int(p) for p in perm), operator.or_))
+        phi[perm] += np.diff(chain, prepend=nu_empty)
     phi /= n_perms
-    nu_full = prev  # every chain ends at the grand coalition
+    nu_full = float(chain[-1])  # every chain ends at the grand coalition
     return AttributionResult(
         baseline=nu_empty,
         shapley=phi,

@@ -19,7 +19,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .coalitions import Coalition, binomial
+from .coalitions import binomial
 from .estimators import permutation_baseline, polyshap
 from .frontier import InteractionFrontier, empty_frontier, parse_frontier_spec
 from .games import Game, MobiusGame, load_game, make_random_game, mobius_exact_shapley
@@ -41,7 +41,7 @@ def bruteforce_shapley(game: Game) -> OracleResult:
     if d > 14:
         raise ValueError(f"brute-force oracle needs d <= 14, got d={d}")
     n = 1 << d
-    values = np.array([game.evaluate(Coalition(m, d)) for m in range(n)])
+    values = game.evaluate_many(range(n))
     masks = np.arange(n)
     sizes = np.zeros(n, dtype=np.int64)
     for i in range(d):
@@ -171,7 +171,8 @@ class BenchmarkConfig:
     metrics: list[str] = field(default_factory=lambda: list(METRIC_NAMES))
     k_for_precision: int = 5
 
-    def validate(self) -> None:
+    def validate(self) -> list[int]:
+        """Check the config; return each game spec's d, read once from its file if it has one."""
         if not self.games:
             raise ValueError("benchmark config needs at least one game")
         if not self.methods:
@@ -183,6 +184,7 @@ class BenchmarkConfig:
         for metric in self.metrics:
             if metric not in METRIC_NAMES:
                 raise ValueError(f"unknown metric {metric!r}")
+        dims = []
         for spec in self.games:
             if spec.kind not in ("random", "file"):
                 raise ValueError(f"unknown game kind {spec.kind!r}")
@@ -192,9 +194,11 @@ class BenchmarkConfig:
                     raise ValueError(
                         f"budget {budget} exceeds 2^d for game {spec.game_id} (d={d})"
                     )
+            dims.append(d)
         for method in self.methods:
             if method.estimator not in ("polyshap", "kernelshap", "permutation"):
                 raise ValueError(f"unknown estimator {method.estimator!r}")
+        return dims
 
 
 @dataclass
@@ -326,12 +330,11 @@ def _run_instance(args: tuple) -> tuple[list[RunRecord], list[FailedCell]]:
 
 
 def run_benchmark(config: BenchmarkConfig, jobs: int = 1) -> BenchmarkResult:
-    config.validate()
+    dims = config.validate()
     work = []
     skipped: list[SkippedCell] = []
     seen_skip: set[tuple] = set()
-    for spec in config.games:
-        d = spec.d if spec.kind == "random" else load_game(spec.path).d
+    for spec, d in zip(config.games, dims):
         cells = []
         for method in config.methods:
             frontier = method.frontier_for(d)

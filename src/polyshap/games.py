@@ -3,19 +3,22 @@
 A game maps coalitions to real values. Every ``evaluate`` call consumes one
 unit of budget (the counter is monotone), while the actual computation is
 cached per coalition so repeated rows are cheap but never free. A computed
-value that is not finite raises ``NonFiniteValueError``.
+value that is not finite raises ``NonFiniteValueError``. Callers evaluate
+int masks through ``evaluate_many``, one counted ``evaluate`` per mask;
+games compute their values on masks.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .coalitions import Coalition, FileFormatError, binomial, fold, membership, _check_d
-from .coalitions import read_rows, write_rows
+from .coalitions import Coalition, FileFormatError, binomial, bitstring, fold, membership
+from .coalitions import _check_d, read_rows, write_rows
 
 
 class LookupMissError(KeyError):
@@ -62,26 +65,35 @@ class Game:
             )
         with self._lock:
             self._eval_count += 1
-        value = self._cache.get(coalition.mask)
+        mask = coalition.mask
+        value = self._cache.get(mask)
         if value is None:
-            value = float(self._value(coalition))
+            value = float(self._value(mask))
             if not math.isfinite(value):
-                raise NonFiniteValueError(coalition.bitstring(), value)
-            self._cache[coalition.mask] = value
+                raise NonFiniteValueError(bitstring(mask, self.d), value)
+            self._cache[mask] = value
         return value
 
-    def _value(self, coalition: Coalition) -> float:
+    def evaluate_many(self, masks: Iterable[int]) -> np.ndarray:
+        """Values of the coalitions ``masks``, in order: one counted ``evaluate`` per mask.
+
+        The first bad row in row order raises, with the counter advanced
+        through that row.
+        """
+        return np.array([self.evaluate(Coalition(m, self.d)) for m in masks], dtype=float)
+
+    def _value(self, mask: int) -> float:
         raise NotImplementedError
 
 
 class MobiusGame(Game):
     """Game given by interaction coefficients: value(S) = sum of coefficients on T subseteq S."""
 
-    def __init__(self, d: int, terms: Mapping[int, float] | Mapping[Coalition, float]) -> None:
+    def __init__(self, d: int, terms: Mapping[int, float]) -> None:
         super().__init__(d)
         clean: dict[int, float] = {}
         for key, coef in terms.items():
-            mask = key.mask if isinstance(key, Coalition) else int(key)
+            mask = operator.index(key)  # an int mask; a float or a Coalition raises TypeError
             if mask < 0 or mask >> d:
                 raise ValueError(f"term mask {mask:#x} out of range for d={d}")
             if mask in clean:
@@ -89,8 +101,8 @@ class MobiusGame(Game):
             clean[mask] = float(coef)
         self.terms = clean
 
-    def _value(self, coalition: Coalition) -> float:
-        outside = ~coalition.mask
+    def _value(self, mask: int) -> float:
+        outside = ~mask
         return sum(c for t, c in self.terms.items() if not t & outside)
 
 
@@ -144,11 +156,11 @@ class LookupGame(Game):
         super().__init__(d)
         self.table = {int(m): float(v) for m, v in table.items()}
 
-    def _value(self, coalition: Coalition) -> float:
+    def _value(self, mask: int) -> float:
         try:
-            return self.table[coalition.mask]
+            return self.table[mask]
         except KeyError:
-            raise LookupMissError(coalition.bitstring()) from None
+            raise LookupMissError(bitstring(mask, self.d)) from None
 
 
 def _read_game(path: str) -> tuple[int, dict[int, float]]:
@@ -184,5 +196,5 @@ def dump_lookup_file(game: Game, path: str) -> None:
     """Write the complete value table of a small game as a ``.game`` file."""
     if game.d > 24:
         raise ValueError(f"complete tables are limited to d <= 24, got d={game.d}")
-    rows = ((mask, (game.evaluate(Coalition(mask, game.d)),)) for mask in range(1 << game.d))
-    write_rows(path, [f"d={game.d}"], game.d, rows)
+    values = game.evaluate_many(range(1 << game.d))
+    write_rows(path, [f"d={game.d}"], game.d, enumerate(zip(values)))

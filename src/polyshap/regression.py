@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coalitions import Coalition, containment, membership, shapley_weight
+from .coalitions import containment, membership, shapley_weight
 from .frontier import InteractionFrontier
 from .games import Game
 
@@ -223,10 +223,9 @@ def solve_exact_full(game: Game, frontier: InteractionFrontier) -> SolveReport:
         raise ValueError(f"exact solve needs d <= 14, got d={d}")
     if frontier.d != d:
         raise ValueError(f"dimension mismatch: game d={d}, frontier d={frontier.d}")
-    nu_empty = game.evaluate(Coalition.empty(d))
-    nu_full = game.evaluate(Coalition.full(d))
+    nu_empty, nu_full = game.evaluate_many([0, (1 << d) - 1]).tolist()
     masks = range(1, (1 << d) - 1)
-    values = np.array([game.evaluate(Coalition(m, d)) for m in masks])
+    values = game.evaluate_many(masks)
     target = _sqrt_kernel_weights(masks, d) * (values - nu_empty)
     matrix = full_design_matrix(d, frontier)[1:-1]
     return constrained_lstsq(matrix, target, nu_full - nu_empty)

@@ -1,4 +1,4 @@
-"""Coalition sampling: size-stratified draws, paired complements, and the border trick.
+"""Sampling coalitions: size-stratified draws, paired complements, and the border trick.
 
 The sampler spends a budget of game evaluations. Two go to the empty and
 grand coalitions; the remaining r become weighted rows. Sizes are uniform
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coalitions import Coalition, FileFormatError, binomial, enumerate_subset_masks
+from .coalitions import FileFormatError, binomial, enumerate_subset_masks
 from .coalitions import masks_from_membership, read_rows, shapley_weight, write_rows
 from .games import Game
 
@@ -77,6 +77,8 @@ class SampleBatch:
         w = np.asarray(self.weights, dtype=float)
         if len(w) and not (np.isfinite(w).all() and (w > 0).all()):
             raise ValueError("row weights must be strictly positive and finite")
+        if not (math.isfinite(self.nu_empty) and math.isfinite(self.nu_full)):
+            raise ValueError("nu_empty and nu_full must be finite")
 
 
 def sample(cfg: SamplerConfig, game: Game) -> SampleBatch:
@@ -93,8 +95,7 @@ def sample(cfg: SamplerConfig, game: Game) -> SampleBatch:
     rng = np.random.default_rng(cfg.seed)
     full_mask = (1 << d) - 1
 
-    nu_empty = game.evaluate(Coalition.empty(d))
-    nu_full = game.evaluate(Coalition.full(d))
+    nu_empty, nu_full = game.evaluate_many([0, full_mask]).tolist()
     remaining = cfg.budget_m - 2
 
     # Smallest stratum first; when paired, a unit is named by its smaller size.
@@ -163,7 +164,7 @@ def sample(cfg: SamplerConfig, game: Game) -> SampleBatch:
     row_weight = {s: math.sqrt(shapley_weight(s, d) / inclusion[s]) for s in inclusion}
     weights = np.array([row_weight[m.bit_count()] for m in masks])
 
-    values = np.array([game.evaluate(Coalition(m, d)) for m in masks])
+    values = game.evaluate_many(masks)
     effective_m = 2 + len(masks)
     if effective_m != cfg.budget_m:
         raise AssertionError(

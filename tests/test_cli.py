@@ -79,6 +79,15 @@ class TestExplain:
         assert blob["error"]["type"] == "parse"
         assert blob["error"]["message"].startswith(f"{path}:4: repeated coalition")
 
+    def test_non_finite_game_value_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "nan.game"
+        path.write_text("d=2\n00,0.0\n10,1.0\n01,nan\n11,2.0\n")
+        code = main(["explain", "--game", str(path), "--budget", "4"])
+        assert code == 3
+        blob = json.loads(capsys.readouterr().out)
+        assert blob["error"]["type"] == "parse"
+        assert blob["error"]["message"].startswith(f"{path}:4: non-finite value")
+
     def test_budget_out_of_bounds_is_config_error(self, lookup_game_file, capsys):
         path, _ = lookup_game_file
         code = main(["explain", "--game", path, "--budget", "3"])

@@ -9,11 +9,13 @@ from polyshap.coalitions import (
     Coalition,
     InvalidDimensionError,
     binomial,
+    bitstring,
     containment,
     enumerate_subset_masks,
     fold,
     masks_from_membership,
     membership,
+    parse_bitstring,
     shapley_weight,
 )
 from polyshap.frontier import k_additive
@@ -21,15 +23,9 @@ from polyshap.frontier import k_additive
 
 class TestCoalition:
     def test_bitstring_roundtrip(self):
-        c = Coalition.from_bitstring("1010")
-        assert c.members() == (0, 2)
-        assert c.d == 4
-        assert c.bitstring() == "1010"
-
-    def test_size_is_popcount(self):
-        assert Coalition.of([0, 3, 7], 8).size() == 3
-        assert Coalition.empty(5).size() == 0
-        assert Coalition.full(5).size() == 5
+        mask = parse_bitstring("1010")
+        assert mask == 0b0101  # players 0 and 2
+        assert bitstring(mask, 4) == "1010"
 
     def test_high_bits_rejected(self):
         with pytest.raises(ValueError):
@@ -38,14 +34,6 @@ class TestCoalition:
             Coalition(0, 0)
         with pytest.raises(InvalidDimensionError):
             Coalition(0, 129)
-
-    def test_subset_and_ops(self):
-        a = Coalition.of([0, 1], 5)
-        b = Coalition.of([0, 1, 3], 5)
-        assert a.add(3) == b
-
-    def test_str_is_one_based(self):
-        assert str(Coalition.of([0, 2], 4)) == "{1,3}"
 
 
 class TestBinomial:
@@ -90,8 +78,7 @@ class TestEnumerateSubsets:
         assert list(enumerate_subset_masks(3, 0)) == [0]
 
     def test_d3_size2(self):
-        got = [Coalition(m, 3).members() for m in enumerate_subset_masks(3, 2)]
-        assert got == [(0, 1), (0, 2), (1, 2)]
+        assert list(enumerate_subset_masks(3, 2)) == [0b011, 0b101, 0b110]
 
     def test_counts_and_distinct(self):
         masks = list(enumerate_subset_masks(5, 3))
@@ -158,14 +145,14 @@ class TestBitstring:
     @given(st.sampled_from(BOUNDARY_DIMS), st.data())
     def test_player_i_is_character_i(self, d, data):
         mask = data.draw(st.integers(0, (1 << d) - 1))
-        text = Coalition(mask, d).bitstring()
+        text = bitstring(mask, d)
         assert text == "".join("1" if mask >> i & 1 else "0" for i in range(d))
-        assert Coalition.from_bitstring(text) == Coalition(mask, d)
+        assert parse_bitstring(text) == mask
 
     @pytest.mark.parametrize("text", ["", "1x1", "012", " 01", "1" * 129])
     def test_malformed_rejected(self, text):
         with pytest.raises(ValueError):
-            Coalition.from_bitstring(text)
+            parse_bitstring(text)
 
 
 class TestContainment:

@@ -28,14 +28,14 @@ from polyshap.sampling import SampleBatch, SamplerConfig, sample
 from conftest import shapley_by_permutation_enum
 
 
-def mask_of(players, d):
-    return Coalition.of(players, d).mask
+def mask_of(players):
+    return sum(1 << i for i in players)
 
 
 class TestPolyshapToSv:
     def test_single_pair(self):
         d = 3
-        frontier = InteractionFrontier(d, (Coalition.of([0, 1], d).mask,), "pair")
+        frontier = InteractionFrontier(d, (mask_of([0, 1]),), "pair")
         sv = polyshap_to_sv(np.array([1.0, 0.0, 2.0, 1.0]), frontier)
         assert np.allclose(sv, [1.5, 0.5, 2.0])
 
@@ -45,7 +45,7 @@ class TestPolyshapToSv:
 
     def test_triple_split(self):
         d = 4
-        frontier = InteractionFrontier(d, (Coalition.of([0, 1, 2], d).mask,), "triple")
+        frontier = InteractionFrontier(d, (mask_of([0, 1, 2]),), "triple")
         sv = polyshap_to_sv(np.array([0.0, 0.0, 0.0, 0.0, 3.0]), frontier)
         assert np.allclose(sv, [1.0, 1.0, 1.0, 0.0])
 
@@ -132,7 +132,8 @@ class TestPolyshap:
 
     def test_efficiency(self):
         g = make_random_game(9, 3, 30, seed=13)
-        total = g.evaluate(Coalition.full(9)) - g.evaluate(Coalition.empty(9))
+        v_empty, v_full = g.evaluate_many([0, (1 << 9) - 1])
+        total = v_full - v_empty
         result = polyshap(g, k_additive(9, 2), SamplerConfig(budget_m=120, paired=True, seed=2))
         assert result.shapley.sum() == pytest.approx(total, abs=1e-8 * max(1, abs(total)))
 
@@ -227,11 +228,11 @@ class TestSymmetry:
         # sampled row must swap the two estimates
         d = 6
         terms = {
-            mask_of([0], d): 1.5,
-            mask_of([1], d): 1.5,
-            mask_of([0, 1], d): 2.0,
-            mask_of([2, 3], d): -1.0,
-                mask_of([4], d): 0.5,
+            mask_of([0]): 1.5,
+            mask_of([1]): 1.5,
+            mask_of([0, 1]): 2.0,
+            mask_of([2, 3]): -1.0,
+                mask_of([4]): 0.5,
         }
         g = MobiusGame(d, terms)
         batch = sample(SamplerConfig(budget_m=40, paired=False, seed=12), g)
@@ -312,7 +313,8 @@ class TestPermutationBaseline:
 
     def test_efficiency_per_run(self):
         g = make_random_game(7, 3, 15, seed=21)
-        total = g.evaluate(Coalition.full(7)) - g.evaluate(Coalition.empty(7))
+        v_empty, v_full = g.evaluate_many([0, (1 << 7) - 1])
+        total = v_full - v_empty
         result = permutation_baseline(g, budget_m=50, seed=5)
         assert result.shapley.sum() == pytest.approx(total, abs=1e-10)
 
@@ -356,7 +358,7 @@ class TestNonFiniteGameValues:
         g = self.nan_at_grand()
         for _ in range(2):
             with pytest.raises(NonFiniteValueError):
-                g.evaluate(Coalition.full(3))
+                g.evaluate_many([0b111])
         assert g.eval_counter == 2
 
 
@@ -374,11 +376,60 @@ class TestHighDimensional:
         assert spearman(result.shapley, truth) > 0.9
 
 
-class TestOddKObservation:
-    def test_report_only(self, capsys):
+class TestOddKConjecture:
+    def test_asserted_within_tolerance(self):
         from polyshap.verify import verify_oddk_conjecture
 
         report = verify_oddk_conjecture(d=8, trials=5, budget=220)
-        print(report.summary())
-        assert report.passed  # observation suites never fail
-        assert not report.asserted
+        assert report.passed
+        assert report.n_trials == 5 and report.max_deviation < 1e-9
+
+    def test_unreachable_rank_stops_instead_of_looping(self):
+        import time
+
+        from polyshap.verify import verify_oddk_conjecture
+
+        # 84 complement pairs cannot give the d'=162 columns of k=4 full rank
+        start = time.perf_counter()
+        report = verify_oddk_conjecture(d=8, trials=1, budget=170)
+        assert time.perf_counter() - start < 10
+        assert report.n_trials == 0
+        assert not report.passed
+        assert any("stopped after" in line for line in report.details)
+
+
+def per_player_chain_baseline(game, budget_m, seed):
+    """The per-player chain loop the batched permutation baseline replaced."""
+    d = game.d
+    n_perms = (budget_m - 1) // d
+    rng = np.random.default_rng(seed)
+    nu_empty = game.evaluate(Coalition(0, d))
+    phi = np.zeros(d)
+    for _ in range(n_perms):
+        perm = rng.permutation(d)
+        prev = nu_empty
+        mask = 0
+        for player in perm:
+            mask |= 1 << int(player)
+            value = game.evaluate(Coalition(mask, d))
+            phi[int(player)] += value - prev
+            prev = value
+    phi /= n_perms
+    return phi, nu_empty, prev
+
+
+class TestPermutationBaselineChains:
+    @pytest.mark.parametrize("d", [2, 10, 128])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_equal_to_per_player_chains(self, d, seed):
+        budget = 5 * d + 3
+        n_terms = {2: 3, 10: 20, 128: 256}[d]
+        game = make_random_game(d, min(3, d), n_terms, seed=d + seed)
+        reference_game = make_random_game(d, min(3, d), n_terms, seed=d + seed)
+        result = permutation_baseline(game, budget, seed)
+        phi, nu_empty, nu_full = per_player_chain_baseline(reference_game, budget, seed)
+        assert np.array_equal(result.shapley, phi)
+        assert type(result.baseline) is float and result.baseline == nu_empty
+        gap = abs(float(phi.sum()) - (nu_full - nu_empty)) / max(1.0, abs(nu_full - nu_empty))
+        assert result.diagnostics["efficiency_gap"] == gap
+        assert game.eval_counter == reference_game.eval_counter == 1 + d * ((budget - 1) // d)

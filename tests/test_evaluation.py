@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyshap.coalitions import Coalition
 from polyshap.evaluation import (
     BenchmarkConfig,
     GameSpec,
@@ -22,10 +21,6 @@ from polyshap.evaluation import (
 from polyshap.games import LookupGame, MobiusGame, make_random_game, mobius_exact_shapley
 
 from conftest import shapley_by_permutation_enum
-
-
-def mask_of(players, d):
-    return Coalition.of(players, d).mask
 
 
 class TestBruteforceShapley:
@@ -54,7 +49,8 @@ class TestBruteforceShapley:
     def test_efficiency(self):
         g = make_random_game(9, 3, 30, seed=3)
         bf = bruteforce_shapley(g)
-        total = g.evaluate(Coalition.full(9)) - g.evaluate(Coalition.empty(9))
+        v_empty, v_full = g.evaluate_many([0, (1 << 9) - 1])
+        total = v_full - v_empty
         assert bf.shapley.sum() == pytest.approx(total, abs=1e-10)
 
     def test_d_too_large(self):
@@ -239,7 +235,18 @@ class TestRunBenchmark:
         assert calls["oracle"] == random_instances + file_spec.instances
         assert calls["random_game"] == random_instances
         assert calls["frontier"] == len(config.games) * len(config.methods)
-        # validate and run_benchmark each read the file once for its d
+        # validate reads the file once for its d, then each instance reads it
+        assert calls["file_read"] == 1 + file_spec.instances
+
+        # a JSON config is validated once more when it is loaded
+        calls["file_read"] = 0
+        raw = {
+            "games": [{"id": "file", "type": "file", "path": str(path), "instances": 2}],
+            "methods": [{"estimator": "kernelshap"}],
+            "budgets": config.budgets,
+            "seeds": config.seeds,
+        }
+        run_benchmark(benchmark_config_from_dict(raw))
         assert calls["file_read"] == 2 + file_spec.instances
 
     def test_absent_marker_when_columns_exceed_budget(self):

@@ -63,13 +63,17 @@ FORMATS = {
 }
 
 NOT_A_NUMBER = ["abc", "1.2.3", "", "0x1f", "--1", "1e", "one", "1 2"]
+NOT_FINITE = ["nan", "NaN", "inf", "-inf", "Infinity", "-Infinity", "1e400"]
 NOT_A_BIT = "2x-."
 
 MUTATIONS = [
     (name, kind)
     for name, fmt in FORMATS.items()
-    for kind in ("drop_field", "length", "character", "non_numeric", "drop_header", "duplicate")
-    if (kind != "drop_field" or fmt.n_fields) and (kind != "drop_header" or fmt.required_header)
+    for kind in (
+        "drop_field", "length", "character", "non_numeric", "non_finite", "drop_header", "duplicate"
+    )
+    if (kind not in ("drop_field", "non_finite") or fmt.n_fields)
+    and (kind != "drop_header" or fmt.required_header)
 ]
 
 
@@ -101,6 +105,9 @@ def mutate(lines, rows, kind, data, fmt):
             fields[data.draw(st.integers(0, len(fields) - 1))] = token
         else:
             fields = [token]
+        lines[i] = ",".join([bits, *fields])
+    elif kind == "non_finite":
+        fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(st.sampled_from(NOT_FINITE))
         lines[i] = ",".join([bits, *fields])
     elif kind == "drop_header":
         prefix = data.draw(st.sampled_from(fmt.required_header))

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyshap.coalitions import Coalition, FileFormatError
 from polyshap.evaluation import bruteforce_shapley
 from polyshap.games import (
+    LookupGame,
     LookupMissError,
     MobiusGame,
     dump_lookup_file,
@@ -17,43 +20,49 @@ from polyshap.games import (
 from conftest import shapley_by_permutation_enum
 
 
-def mask_of(players, d):
-    return Coalition.of(players, d).mask
+def mask_of(players):
+    return sum(1 << i for i in players)
 
 
 class TestMobiusEvaluate:
     def test_pair_example(self):
-        g = MobiusGame(2, {mask_of([0], 2): 1.0, mask_of([0, 1], 2): 2.0})
-        assert g.evaluate(Coalition.of([0, 1], 2)) == 3.0
+        g = MobiusGame(2, {mask_of([0]): 1.0, mask_of([0, 1]): 2.0})
+        assert g.evaluate(Coalition(0b11, 2)) == 3.0
 
     def test_empty_set_is_zero(self):
-        g = MobiusGame(3, {mask_of([0], 3): 5.0})
-        assert g.evaluate(Coalition.empty(3)) == 0.0
+        g = MobiusGame(3, {mask_of([0]): 5.0})
+        assert g.evaluate(Coalition(0, 3)) == 0.0
 
     def test_grand_coalition_sums_all_coefficients(self):
         g = make_random_game(8, 3, 5, seed=11)
         # independent oracle: direct sum of the stored coefficients
         expected = sum(g.terms.values())
-        assert g.evaluate(Coalition.full(8)) == pytest.approx(expected, abs=1e-12)
+        assert g.evaluate(Coalition(0xFF, 8)) == pytest.approx(expected, abs=1e-12)
 
     def test_dimension_mismatch(self):
         g = MobiusGame(3, {})
         with pytest.raises(ValueError):
-            g.evaluate(Coalition.empty(4))
+            g.evaluate(Coalition(0, 4))
+
+    def test_keys_must_be_int_masks(self):
+        assert MobiusGame(3, {np.int64(3): 1.0}).terms == {3: 1.0}
+        for key in (Coalition(3, 3), 3.0):
+            with pytest.raises(TypeError):
+                MobiusGame(3, {key: 1.0})
 
     def test_locality(self):
         # value depends only on terms inside the queried coalition
-        g = MobiusGame(4, {mask_of([0], 4): 1.0, mask_of([2, 3], 4): 7.0})
-        assert g.evaluate(Coalition.of([0, 1], 4)) == 1.0
+        g = MobiusGame(4, {mask_of([0]): 1.0, mask_of([2, 3]): 7.0})
+        assert g.evaluate(Coalition(mask_of([0, 1]), 4)) == 1.0
 
 
 class TestMobiusExactShapley:
     def test_pair_term_splits(self):
-        g = MobiusGame(3, {mask_of([0, 1], 3): 1.0})
+        g = MobiusGame(3, {mask_of([0, 1]): 1.0})
         assert np.allclose(mobius_exact_shapley(g), [0.5, 0.5, 0.0])
 
     def test_additive_game(self):
-        g = MobiusGame(2, {mask_of([0], 2): 2.5, mask_of([1], 2): -1.0})
+        g = MobiusGame(2, {mask_of([0]): 2.5, mask_of([1]): -1.0})
         assert np.allclose(mobius_exact_shapley(g), [2.5, -1.0])
 
     def test_matches_bruteforce_oracle(self):
@@ -70,7 +79,8 @@ class TestMobiusExactShapley:
 
     def test_efficiency(self):
         g = make_random_game(7, 4, 30, seed=21)
-        total = g.evaluate(Coalition.full(7)) - g.evaluate(Coalition.empty(7))
+        v_empty, v_full = g.evaluate_many([0, (1 << 7) - 1])
+        total = v_full - v_empty
         assert mobius_exact_shapley(g).sum() == pytest.approx(total, abs=1e-10)
 
 
@@ -99,15 +109,15 @@ class TestMakeRandomGame:
 
 class TestEvalCounter:
     def test_counter_counts_duplicates(self):
-        g = MobiusGame(3, {mask_of([0], 3): 1.0})
-        c = Coalition.of([0], 3)
+        g = MobiusGame(3, {mask_of([0]): 1.0})
+        c = Coalition(mask_of([0]), 3)
         g.evaluate(c)
         g.evaluate(c)
         assert g.eval_counter == 2
 
     def test_deterministic_values(self):
         g = make_random_game(6, 3, 10, seed=4)
-        c = Coalition.of([1, 4], 6)
+        c = Coalition(mask_of([1, 4]), 6)
         assert g.evaluate(c) == g.evaluate(c)
 
     def test_counter_safe_under_concurrent_evaluation(self):
@@ -128,22 +138,62 @@ class TestEvalCounter:
         assert g.eval_counter == 8 * per_thread
 
 
+def mobius_or_lookup(kind, d, seed):
+    """A random Mobius game, or the lookup game holding its full table."""
+    game = make_random_game(d, min(3, d), d, seed=seed)
+    if kind == "mobius":
+        return game
+    return LookupGame(d, dict(enumerate(game.evaluate_many(range(1 << d)))))
+
+
+class TestEvaluateMany:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["mobius", "lookup"]), st.integers(1, 12), st.data())
+    def test_equals_per_row_evaluate_and_counts_every_row(self, kind, d, data):
+        masks = data.draw(st.lists(st.integers(0, (1 << d) - 1), max_size=30))
+        masks += data.draw(st.lists(st.sampled_from(masks), max_size=10)) if masks else []
+        game = mobius_or_lookup(kind, d, seed=d)
+        before = game.eval_counter
+        got = game.evaluate_many(masks)
+        assert game.eval_counter - before == len(masks)
+        assert got.dtype == np.float64 and got.shape == (len(masks),)
+        fresh = mobius_or_lookup(kind, d, seed=d)
+        assert got.tolist() == [fresh.evaluate(Coalition(m, d)) for m in masks]
+
+    def test_empty_input(self):
+        g = make_random_game(4, 2, 4, seed=0)
+        got = g.evaluate_many([])
+        assert got.shape == (0,) and got.dtype == np.float64
+        assert g.eval_counter == 0
+
+    def test_first_missing_row_raises_with_counter_through_it(self):
+        g = LookupGame(3, {0b000: 0.0, 0b001: 1.0, 0b011: 2.0})
+        with pytest.raises(LookupMissError) as err:
+            g.evaluate_many([0b001, 0b011, 0b110, 0b001, 0b111])
+        assert err.value.bitstring == "011"
+        assert g.eval_counter == 3
+
+    def test_masks_out_of_range_rejected(self):
+        g = make_random_game(3, 2, 3, seed=0)
+        with pytest.raises(ValueError):
+            g.evaluate_many([1 << 3])
+
+
 class TestLookupGame:
     def test_full_two_player_file(self, tmp_path):
         path = tmp_path / "two.game"
         path.write_text("d=2\n00,0.0\n10,1.0\n01,3.0\n11,4.0\n")
         g = load_lookup_game(str(path))
         assert g.d == 2
-        assert g.evaluate(Coalition.from_bitstring("01")) == 3.0
-        assert g.evaluate(Coalition.full(2)) == 4.0
+        assert g.evaluate_many([0b10, 0b11]).tolist() == [3.0, 4.0]
 
     def test_missing_row_errors_at_query_time(self, tmp_path):
         path = tmp_path / "partial.game"
         path.write_text("d=2\n00,0.0\n10,1.0\n01,3.0\n")
         g = load_lookup_game(str(path))
-        assert g.evaluate(Coalition.of([0], 2)) == 1.0
+        assert g.evaluate(Coalition(0b01, 2)) == 1.0
         with pytest.raises(LookupMissError) as err:
-            g.evaluate(Coalition.full(2))
+            g.evaluate(Coalition(0b11, 2))
         assert err.value.bitstring == "11"
 
     def test_duplicate_rows_rejected(self, tmp_path):
@@ -170,9 +220,7 @@ class TestLookupGame:
         dump_lookup_file(g, str(path))
         reloaded = load_lookup_game(str(path))
         fresh = make_random_game(6, 3, 12, seed=5)
-        for mask in range(1 << 6):
-            c = Coalition(mask, 6)
-            assert reloaded.evaluate(c) == fresh.evaluate(c)
+        assert np.array_equal(reloaded.evaluate_many(range(1 << 6)), fresh.evaluate_many(range(1 << 6)))
 
 
 class TestMobiusFileRoundtrip:

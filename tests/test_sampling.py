@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyshap.coalitions import Coalition, binomial, shapley_weight
+from polyshap.coalitions import FileFormatError, binomial, shapley_weight
 from polyshap.frontier import empty_frontier, k_additive, percent_of_order
 from polyshap.games import make_random_game
 from polyshap.regression import build_design, full_design_matrix
@@ -117,10 +117,8 @@ class TestSample:
         g = make_random_game(6, 3, 10, seed=8)
         batch = sample(SamplerConfig(budget_m=30, paired=False, seed=2), g)
         fresh = make_random_game(6, 3, 10, seed=8)
-        for mask, v in zip(batch.masks, batch.values):
-            assert v == fresh.evaluate(Coalition(mask, 6))
-        assert batch.nu_empty == fresh.evaluate(Coalition.empty(6))
-        assert batch.nu_full == fresh.evaluate(Coalition.full(6))
+        assert np.array_equal(batch.values, fresh.evaluate_many(batch.masks))
+        assert [batch.nu_empty, batch.nu_full] == fresh.evaluate_many([0, (1 << 6) - 1]).tolist()
 
     def test_border_tie_enumerates_in_integers(self):
         # 315 * (1/7) rounds below C(10, 2) = 45 in floating point; the border
@@ -197,6 +195,17 @@ class TestBatchReplay:
         lines[row] = "0" + lines[row]  # a 7-character bitstring in a d=6 file
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"batch.csv:{row + 1}: .* expected d=6"):
+            load_batch(str(path))
+
+    @pytest.mark.parametrize("key", ["nu_empty", "nu_full"])
+    def test_non_finite_header_value_rejected(self, tmp_path, key):
+        g = make_random_game(6, 2, 10, seed=5)
+        batch = sample(SamplerConfig(budget_m=30, paired=True, seed=2), g)
+        path = tmp_path / "batch.csv"
+        save_batch(batch, str(path))
+        text = path.read_text().replace(f"# {key}={getattr(batch, key)!r}", f"# {key}=nan")
+        path.write_text(text)
+        with pytest.raises(FileFormatError, match="batch.csv: nu_empty and nu_full must be finite"):
             load_batch(str(path))
 
     @pytest.mark.parametrize("mask", [0, 0b111111, 0b1000000, 0b1000001, -1])
