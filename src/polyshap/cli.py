@@ -16,8 +16,8 @@ import sys
 from typing import Any
 
 from .coalitions import FileFormatError
-from .estimators import kernelshap, permutation_baseline, polyshap
 from .evaluation import (
+    MethodSpec,
     load_benchmark_config,
     per_instance_csv,
     plot_data,
@@ -25,9 +25,7 @@ from .evaluation import (
     run_benchmark,
     series_label,
 )
-from .frontier import k_additive, parse_frontier_spec
 from .games import load_game, make_random_game, save_mobius_game
-from .sampling import SamplerConfig
 from .verify import SUITES
 
 EXIT_OK = 0
@@ -57,16 +55,12 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         if args.method == "permutation":
             if args.order is not None or args.frontier is not None or args.paired:
                 raise ValueError("permutation takes neither a frontier nor --paired")
-            frontier = None
         elif args.method == "kernelshap":
             if args.order not in (None, 1) or args.frontier is not None:
                 raise ValueError("kernelshap has no interaction frontier")
-            frontier = k_additive(game.d, 1)
-        else:
-            if args.frontier is not None:
-                frontier = parse_frontier_spec(args.frontier, game.d, args.seed)
-            else:
-                frontier = k_additive(game.d, args.order if args.order is not None else 1)
+        spec = args.frontier if args.order is None else str(args.order)
+        method = MethodSpec(args.method, spec, args.paired, args.seed)
+        frontier = method.frontier_for(game.d)
         _echo(
             {
                 "command": "explain",
@@ -79,14 +73,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                 "seed": args.seed,
             }
         )
-        if args.method == "permutation":
-            result = permutation_baseline(game, args.budget, args.seed)
-        else:
-            cfg = SamplerConfig(budget_m=args.budget, paired=args.paired, seed=args.seed)
-            if args.method == "kernelshap":
-                result = kernelshap(game, cfg)
-            else:
-                result = polyshap(game, frontier, cfg)
+        result = method.run(game, frontier, args.budget, args.seed)
     except ValueError as exc:
         print(_error_json("config", str(exc)))
         return EXIT_CONFIG

@@ -12,15 +12,17 @@ continues.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from multiprocessing import get_context
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from .coalitions import binomial
-from .estimators import permutation_baseline, polyshap
+from .estimators import AttributionResult, permutation_baseline, polyshap
 from .frontier import InteractionFrontier, empty_frontier, parse_frontier_spec
 from .games import Game, MobiusGame, load_game, make_random_game, mobius_exact_shapley
 from .sampling import SamplerConfig
@@ -161,6 +163,14 @@ class MethodSpec:
         frontier = self.frontier_for(d)
         return self.estimator, "" if frontier is None else frontier.order_label
 
+    def run(
+        self, game: Game, frontier: InteractionFrontier | None, budget: int, seed: int
+    ) -> AttributionResult:
+        """One estimate on ``frontier``, as built by ``frontier_for(game.d)``."""
+        if frontier is None:
+            return permutation_baseline(game, budget, seed)
+        return polyshap(game, frontier, SamplerConfig(budget_m=budget, paired=self.paired, seed=seed))
+
 
 @dataclass
 class BenchmarkConfig:
@@ -295,11 +305,7 @@ def _run_instance(args: tuple) -> tuple[list[RunRecord], list[FailedCell]]:
             run_seed = derive_run_seed(seed, instance, budget)
             before = game.eval_counter
             try:
-                if frontier is None:
-                    result = permutation_baseline(game, budget, run_seed)
-                else:
-                    cfg = SamplerConfig(budget_m=budget, paired=method.paired, seed=run_seed)
-                    result = polyshap(game, frontier, cfg)
+                result = method.run(game, frontier, budget, run_seed)
                 evals_used = game.eval_counter - before
                 values: dict[str, float] = {}
                 for name in metrics:
@@ -359,8 +365,18 @@ def run_benchmark(config: BenchmarkConfig, jobs: int = 1) -> BenchmarkResult:
     runs: list[RunRecord] = []
     failures: list[FailedCell] = []
     if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_instance, work))
+        # Fresh workers with one BLAS thread each, so jobs x BLAS threads do
+        # not oversubscribe the cores; the parent's own environment is restored.
+        saved = os.environ.get("OPENBLAS_NUM_THREADS")
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            with ProcessPoolExecutor(jobs, mp_context=get_context("spawn")) as pool:
+                outcomes = list(pool.map(_run_instance, work))
+        finally:
+            if saved is None:
+                del os.environ["OPENBLAS_NUM_THREADS"]
+            else:
+                os.environ["OPENBLAS_NUM_THREADS"] = saved
     else:
         outcomes = map(_run_instance, work)
     for records, fails in outcomes:

@@ -3,13 +3,15 @@
 A frontier holds the masks of coalitions of size >= 2, ordered size-major
 and colexicographically within a size. The regression then has
 d' = d + len(terms) columns: the d singletons first, then the frontier.
+Every built-in family is all interactions of sizes 2..k plus a seeded
+uniform draw of size k + 1, so each is downward closed: every subset of
+size >= 2 of a term is a term.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -52,9 +54,25 @@ class InteractionFrontier:
         return len(self.terms)
 
 
-def _sorted_frontier(d: int, masks: Iterable[int], label: str) -> InteractionFrontier:
-    ordered = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    return InteractionFrontier(d, tuple(ordered), label)
+def _build(d: int, k: int, n: int, seed: int, label: str) -> InteractionFrontier:
+    """All interactions of sizes 2..k, then n of size k + 1 drawn uniformly (seeded).
+
+    The draw is a reservoir over the size-(k+1) masks in ascending order:
+    item i >= n replaces slot ``rng.integers(0, i + 1)`` when that is below
+    n. One call draws every slot, advancing the generator exactly as one
+    call per item would. The blocks come out in frontier order, so only
+    the drawn terms are sorted.
+    """
+    masks = [m for size in range(2, k + 1) for m in enumerate_subset_masks(d, size)]
+    if n:
+        pool = list(enumerate_subset_masks(d, k + 1))
+        slots = np.random.default_rng(seed).integers(0, np.arange(n + 1, len(pool) + 1))
+        kept = list(range(n))
+        hits = np.flatnonzero(slots < n)
+        for slot, item in zip(slots[hits].tolist(), (hits + n).tolist()):
+            kept[slot] = item
+        masks.extend(pool[i] for i in sorted(kept))
+    return InteractionFrontier(d, tuple(masks), label)
 
 
 def empty_frontier(d: int) -> InteractionFrontier:
@@ -66,25 +84,7 @@ def k_additive(d: int, k: int) -> InteractionFrontier:
     _check_d(d)
     if not 1 <= k <= d:
         raise ValueError(f"k must be in [1, {d}], got {k}")
-    masks: list[int] = []
-    for size in range(2, k + 1):
-        masks.extend(enumerate_subset_masks(d, size))
-    return _sorted_frontier(d, masks, f"k={k}")
-
-
-def _reservoir(stream: Iterator[int], n: int, rng: np.random.Generator) -> list[int]:
-    """Uniform sample of n items from a stream, reproducible under the generator."""
-    kept: list[int] = []
-    for i, item in enumerate(stream):
-        if i < n:
-            kept.append(item)
-        else:
-            j = int(rng.integers(0, i + 1))
-            if j < n:
-                kept[j] = item
-    if len(kept) < n:
-        raise ValueError(f"stream shorter than requested sample ({len(kept)} < {n})")
-    return kept
+    return _build(d, k, 0, 0, f"k={k}")
 
 
 def partial(d: int, ell: int, seed: int) -> InteractionFrontier:
@@ -99,20 +99,10 @@ def partial(d: int, ell: int, seed: int) -> InteractionFrontier:
         raise ValueError(f"ell must be in [0, {max_ell}] for d={d}, got {ell}")
     covered = 0
     k = 1
-    while k < d:
-        block = binomial(d, k + 1)
-        if covered + block > ell:
-            break
-        covered += block
+    while k < d and covered + binomial(d, k + 1) <= ell:
+        covered += binomial(d, k + 1)
         k += 1
-    masks: list[int] = []
-    for size in range(2, k + 1):
-        masks.extend(enumerate_subset_masks(d, size))
-    extra = ell - covered
-    if extra:
-        rng = np.random.default_rng(seed)
-        masks.extend(_reservoir(enumerate_subset_masks(d, k + 1), extra, rng))
-    return _sorted_frontier(d, masks, f"partial:{ell}")
+    return _build(d, k, ell - covered, seed, f"partial:{ell}")
 
 
 def percent_of_order(d: int, k: int, fraction: float, seed: int) -> InteractionFrontier:
@@ -122,15 +112,8 @@ def percent_of_order(d: int, k: int, fraction: float, seed: int) -> InteractionF
         raise ValueError(f"k must be in [2, {d}], got {k}")
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    masks: list[int] = []
-    for size in range(2, k):
-        masks.extend(enumerate_subset_masks(d, size))
-    n_extra = math.floor(fraction * binomial(d, k))
-    if n_extra:
-        rng = np.random.default_rng(seed)
-        masks.extend(_reservoir(enumerate_subset_masks(d, k), n_extra, rng))
-    pct = f"{fraction * 100:g}%"
-    return _sorted_frontier(d, masks, f"k={k}@{pct}")
+    n = math.floor(fraction * binomial(d, k))
+    return _build(d, k - 1, n, seed, f"k={k}@{fraction * 100:g}%")
 
 
 def log_frontier(d: int, seed: int) -> InteractionFrontier:
@@ -141,12 +124,8 @@ def log_frontier(d: int, seed: int) -> InteractionFrontier:
     _check_d(d)
     if d < 4:
         raise ValueError(f"log frontier needs d >= 4, got d={d}")
-    masks = list(enumerate_subset_masks(d, 2))
     n_triples = min(math.floor(d * math.log(binomial(d, 3))), binomial(d, 3))
-    if n_triples:
-        rng = np.random.default_rng(seed)
-        masks.extend(_reservoir(enumerate_subset_masks(d, 3), n_triples, rng))
-    return _sorted_frontier(d, masks, "log")
+    return _build(d, 2, n_triples, seed, "log")
 
 
 def save_frontier(frontier: InteractionFrontier, path: str) -> None:
@@ -161,8 +140,9 @@ def load_frontier(path: str, d: int | None = None) -> InteractionFrontier:
     ``d`` is then the one given, else the length of its first bitstring.
     """
     _, d, rows = read_rows(path, 0, d)
+    terms = sorted({mask for mask, _ in rows}, key=lambda m: (m.bit_count(), m))
     try:
-        return _sorted_frontier(d, (mask for mask, _ in rows), "custom")
+        return InteractionFrontier(d, tuple(terms), "custom")
     except ValueError as exc:
         raise FileFormatError(path, str(exc)) from None
 
@@ -179,9 +159,7 @@ def parse_frontier_spec(spec: str, d: int, seed: int = 0) -> InteractionFrontier
             pct = float(right)
         except ValueError as exc:
             raise ValueError(f"bad frontier spec {spec!r}") from exc
-        if pct > 1.0:
-            pct /= 100.0
-        return percent_of_order(d, k, pct, seed)
+        return percent_of_order(d, k, pct / 100.0, seed)
     try:
         k = int(spec)
     except ValueError as exc:

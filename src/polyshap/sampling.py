@@ -62,7 +62,6 @@ class SampleBatch:
     nu_empty: float
     nu_full: float
     enumerated_sizes: frozenset[int]
-    effective_m: int
     odd_unpaired: bool = False
 
     def __post_init__(self) -> None:
@@ -79,6 +78,11 @@ class SampleBatch:
             raise ValueError("row weights must be strictly positive and finite")
         if not (math.isfinite(self.nu_empty) and math.isfinite(self.nu_full)):
             raise ValueError("nu_empty and nu_full must be finite")
+
+    @property
+    def effective_m(self) -> int:
+        """Game evaluations the batch stands for: its rows, the empty and the grand coalition."""
+        return 2 + len(self.masks)
 
 
 def sample(cfg: SamplerConfig, game: Game) -> SampleBatch:
@@ -165,10 +169,9 @@ def sample(cfg: SamplerConfig, game: Game) -> SampleBatch:
     weights = np.array([row_weight[m.bit_count()] for m in masks])
 
     values = game.evaluate_many(masks)
-    effective_m = 2 + len(masks)
-    if effective_m != cfg.budget_m:
+    if 2 + len(masks) != cfg.budget_m:
         raise AssertionError(
-            f"sampler consumed {effective_m} evaluations for budget {cfg.budget_m}"
+            f"sampler consumed {2 + len(masks)} evaluations for budget {cfg.budget_m}"
         )
     return SampleBatch(
         d=d,
@@ -178,7 +181,6 @@ def sample(cfg: SamplerConfig, game: Game) -> SampleBatch:
         nu_empty=nu_empty,
         nu_full=nu_full,
         enumerated_sizes=frozenset(enumerated),
-        effective_m=effective_m,
         odd_unpaired=cfg.paired and n_random % 2 == 1,
     )
 
@@ -209,7 +211,6 @@ def load_batch(path: str) -> SampleBatch:
             enumerated_sizes=frozenset(
                 int(s) for s in header.get("enumerated_sizes", "").split(",") if s
             ),
-            effective_m=2 + len(rows),
             odd_unpaired=bool(int(header.get("odd_unpaired", "0"))),
         )
     except KeyError as exc:

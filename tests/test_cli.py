@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polyshap
 from polyshap.cli import main
 from polyshap.coalitions import Coalition
 from polyshap.evaluation import bruteforce_shapley
@@ -101,6 +106,16 @@ class TestExplain:
         )
         assert code == 2
 
+    def test_order_is_the_plain_frontier_spec(self, lookup_game_file, capsys):
+        path, _ = lookup_game_file
+        common = ["explain", "--game", path, "--budget", "14", "--paired", "--seed", "2"]
+        outputs = []
+        for flags in (["--order", "2"], ["--frontier", "2"]):
+            assert main(common + flags) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].out == outputs[1].out
+        assert outputs[0].err == outputs[1].err
+
     def test_config_echo_on_stderr(self, lookup_game_file, capsys):
         path, _ = lookup_game_file
         main(["explain", "--game", path, "--budget", "16", "--seed", "7"])
@@ -181,6 +196,24 @@ class TestBenchmarkCommand:
         main(["benchmark", "--config", str(config), "--out", str(out2), "--jobs", "1"])
         assert out1.read_bytes() == out2.read_bytes()
         assert (tmp_path / "r1.plot.json").read_bytes() == (tmp_path / "r2.plot.json").read_bytes()
+
+    def test_jobs_write_the_same_bytes(self, tmp_path):
+        config = self.make_config(tmp_path)
+        src = str(Path(polyshap.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outputs = []
+        for jobs in ("1", "2"):
+            stem = tmp_path / f"jobs{jobs}"
+            subprocess.run(
+                [sys.executable, "-m", "polyshap.cli", "benchmark", "--config", str(config),
+                 "--out", f"{stem}.csv", "--jobs", jobs],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            outputs.append(
+                [Path(f"{stem}{suffix}").read_bytes() for suffix in (".csv", ".per_instance.csv", ".plot.json")]
+            )
+        assert outputs[0] == outputs[1]
 
     def test_empty_methods_is_config_error(self, tmp_path, capsys):
         config = {

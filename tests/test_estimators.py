@@ -249,7 +249,6 @@ class TestSymmetry:
             nu_empty=batch.nu_empty,
             nu_full=batch.nu_full,
             enumerated_sizes=batch.enumerated_sizes,
-            effective_m=batch.effective_m,
         )
         base = polyshap_from_batch(batch, empty_frontier(d)).shapley
         perm = polyshap_from_batch(swapped, empty_frontier(d)).shapley

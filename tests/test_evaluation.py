@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,6 +204,15 @@ class TestRunBenchmark:
         assert rows_to_csv(a.rows, a.skipped, a.config.metrics) == rows_to_csv(
             b.rows, b.skipped, b.config.metrics
         )
+
+    @pytest.mark.parametrize("threads", [None, "3"])
+    def test_jobs_leave_the_parent_environment(self, monkeypatch, threads):
+        if threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        run_benchmark(tiny_config(budgets=[34], seeds=[0]), jobs=2)
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == threads
 
     def test_game_oracle_and_frontier_built_once(self, tmp_path, monkeypatch):
         import polyshap.evaluation as evaluation

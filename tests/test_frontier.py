@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyshap.coalitions import binomial
+from polyshap.coalitions import binomial, enumerate_subset_masks
 from polyshap.frontier import (
     InteractionFrontier,
     empty_frontier,
@@ -192,3 +193,136 @@ class TestParseSpec:
     def test_bad_spec(self):
         with pytest.raises(ValueError):
             parse_frontier_spec("quadratic", 8)
+
+    def test_percent_is_always_a_percentage(self):
+        one = parse_frontier_spec("3@1", 10, seed=2)
+        assert [t.bit_count() for t in one.terms].count(3) == 1
+        assert one.order_label == "k=3@1%"
+        half = parse_frontier_spec("3@0.5", 10, seed=2)
+        assert set(half.terms) == set(k_additive(10, 2).terms)
+        assert half.order_label == "k=3@0.5%"
+        assert set(parse_frontier_spec("3@100", 10, seed=2).terms) == set(k_additive(10, 3).terms)
+
+
+# The four builders and the per-item reservoir as they were before the
+# families shared one builder: the reference the shared builder must equal.
+
+
+def _reference_sorted(d, masks, label):
+    return InteractionFrontier(d, tuple(sorted(set(masks), key=lambda m: (m.bit_count(), m))), label)
+
+
+def _reference_full(d, k):
+    return [m for size in range(2, k + 1) for m in enumerate_subset_masks(d, size)]
+
+
+def _reference_reservoir(stream, n, rng):
+    kept = []
+    for i, item in enumerate(stream):
+        if i < n:
+            kept.append(item)
+        else:
+            j = int(rng.integers(0, i + 1))
+            if j < n:
+                kept[j] = item
+    return kept
+
+
+def _reference_draw(d, size, n, seed):
+    if not n:
+        return []
+    return _reference_reservoir(enumerate_subset_masks(d, size), n, np.random.default_rng(seed))
+
+
+def reference_k_additive(d, k):
+    if not 1 <= k <= d:
+        raise ValueError(f"k must be in [1, {d}], got {k}")
+    return _reference_sorted(d, _reference_full(d, k), f"k={k}")
+
+
+def reference_partial(d, ell, seed):
+    max_ell = (1 << d) - d - 2
+    if not 0 <= ell <= max_ell:
+        raise ValueError(f"ell must be in [0, {max_ell}] for d={d}, got {ell}")
+    covered, k = 0, 1
+    while k < d:
+        block = binomial(d, k + 1)
+        if covered + block > ell:
+            break
+        covered += block
+        k += 1
+    masks = _reference_full(d, k) + _reference_draw(d, k + 1, ell - covered, seed)
+    return _reference_sorted(d, masks, f"partial:{ell}")
+
+
+def reference_percent_of_order(d, k, fraction, seed):
+    if k < 2 or k > d:
+        raise ValueError(f"k must be in [2, {d}], got {k}")
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+    n_extra = math.floor(fraction * binomial(d, k))
+    masks = _reference_full(d, k - 1) + _reference_draw(d, k, n_extra, seed)
+    return _reference_sorted(d, masks, f"k={k}@{fraction * 100:g}%")
+
+
+def reference_log_frontier(d, seed):
+    if d < 4:
+        raise ValueError(f"log frontier needs d >= 4, got d={d}")
+    n_triples = min(math.floor(d * math.log(binomial(d, 3))), binomial(d, 3))
+    return _reference_sorted(d, _reference_full(d, 2) + _reference_draw(d, 3, n_triples, seed), "log")
+
+
+def family_calls(d, seed):
+    """(name, args) for every family at d: full blocks, block edges, partial top-ups."""
+    pairs, triples = binomial(d, 2), binomial(d, 3)
+    calls = [("k_additive", (d, k)) for k in sorted({1, 2, 3, d}) if d <= 8 or k <= 3]
+    for ell in sorted({0, 1, pairs - 1, pairs, pairs + 1, pairs + triples // 3}):
+        calls.append(("partial", (d, ell, seed)))
+    if d <= 8:
+        calls.append(("partial", (d, (1 << d) - d - 2, seed)))
+    for k in (2, 3):
+        for fraction in (0.0, 0.01, 0.37, 0.5, 1.0):
+            calls.append(("percent_of_order", (d, k, fraction, seed)))
+    calls.append(("log_frontier", (d, seed)))
+    return calls
+
+
+BUILDERS = {
+    "k_additive": (k_additive, reference_k_additive),
+    "partial": (partial, reference_partial),
+    "percent_of_order": (percent_of_order, reference_percent_of_order),
+    "log_frontier": (log_frontier, reference_log_frontier),
+}
+
+
+class TestOneBuilder:
+    @pytest.mark.parametrize("d", [4, 5, 8, 13, 40])
+    def test_every_family_equals_the_reference(self, d):
+        for seed in range(5):
+            for name, args in family_calls(d, seed):
+                built, reference = (f(*args) for f in BUILDERS[name])
+                assert built.terms == reference.terms, (name, args)
+                assert built.order_label == reference.order_label, (name, args)
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("k_additive", (5, 0)),
+            ("k_additive", (5, 6)),
+            ("partial", (4, -1, 0)),
+            ("partial", (4, 11, 0)),
+            ("percent_of_order", (6, 1, 0.5, 0)),
+            ("percent_of_order", (6, 7, 0.5, 0)),
+            ("percent_of_order", (6, 3, 1.5, 0)),
+            ("percent_of_order", (6, 3, -0.1, 0)),
+            ("log_frontier", (3, 0)),
+        ],
+    )
+    def test_validation_errors_unchanged(self, name, args):
+        built, reference = BUILDERS[name]
+        with pytest.raises(ValueError) as expected:
+            reference(*args)
+        with pytest.raises(ValueError) as raised:
+            built(*args)
+        assert type(raised.value) is type(expected.value)
+        assert str(raised.value) == str(expected.value)

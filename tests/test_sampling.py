@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyshap.coalitions import FileFormatError, binomial, shapley_weight
+from polyshap.estimators import polyshap_from_batch
 from polyshap.frontier import empty_frontier, k_additive, percent_of_order
 from polyshap.games import make_random_game
 from polyshap.regression import build_design, full_design_matrix
@@ -219,8 +220,23 @@ class TestBatchReplay:
                 nu_empty=0.0,
                 nu_full=1.0,
                 enumerated_sizes=frozenset(),
-                effective_m=4,
             )
+
+    def test_hand_built_batch_reports_its_rows(self):
+        g = make_random_game(6, 2, 10, seed=5)
+        batch = sample(SamplerConfig(budget_m=30, paired=True, seed=2), g)
+        rows = 11
+        cut = SampleBatch(
+            d=6,
+            masks=batch.masks[:rows],
+            weights=batch.weights[:rows],
+            values=batch.values[:rows],
+            nu_empty=batch.nu_empty,
+            nu_full=batch.nu_full,
+            enumerated_sizes=frozenset(),
+        )
+        assert cut.effective_m == 2 + rows
+        assert polyshap_from_batch(cut, empty_frontier(6)).diagnostics["budget_used"] == 2 + rows
 
 
 class TestLeverageScores:
