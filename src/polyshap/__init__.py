@@ -13,7 +13,6 @@ from .estimators import (
     polyshap,
     polyshap_from_batch,
     polyshap_to_sv,
-    project_2poly_to_sv,
 )
 from .evaluation import (
     BenchmarkConfig,
@@ -53,7 +52,6 @@ from .regression import (
     build_design,
     constrained_lstsq,
     solve_constrained,
-    solve_exact_full,
 )
 from .sampling import (
     SampleBatch,

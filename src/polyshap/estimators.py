@@ -10,7 +10,6 @@ baseline is included for benchmarking.
 from __future__ import annotations
 
 import json
-import math
 import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -19,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from .coalitions import fold, membership
-from .frontier import InteractionFrontier, empty_frontier, k_additive
+from .frontier import InteractionFrontier, empty_frontier
 from .games import Game
 from .regression import build_design, solve_constrained
 from .sampling import SampleBatch, SamplerConfig, sample
@@ -61,16 +60,6 @@ def polyshap_to_sv(rep: np.ndarray, frontier: InteractionFrontier) -> np.ndarray
             f"representation length {rep.shape} does not match d'={frontier.n_columns}"
         )
     return fold(membership(frontier.column_masks, frontier.d), rep)
-
-
-def project_2poly_to_sv(rep2: np.ndarray) -> np.ndarray:
-    """Project a pairs-frontier representation (pairs in colexicographic order) down to d values."""
-    rep2 = np.asarray(rep2, dtype=float)
-    length = rep2.shape[0]
-    d = int((math.isqrt(8 * length + 1) - 1) // 2)
-    if d * (d + 1) // 2 != length:
-        raise ValueError(f"length {length} is not d + C(d,2) for any integer d")
-    return polyshap_to_sv(rep2, k_additive(d, 2))
 
 
 def _efficiency_gap(shapley: np.ndarray, constraint: float) -> float:

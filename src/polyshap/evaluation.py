@@ -172,17 +172,26 @@ class MethodSpec:
         return polyshap(game, frontier, SamplerConfig(budget_m=budget, paired=self.paired, seed=seed))
 
 
-@dataclass
+@dataclass(frozen=True)
 class BenchmarkConfig:
+    """A sweep, validated once when built (by ``dataclasses.replace`` too).
+
+    ``dims`` holds each game spec's d, read once from its file if it has one.
+    """
+
     games: list[GameSpec]
     methods: list[MethodSpec]
     budgets: list[int]
     seeds: list[int]
     metrics: list[str] = field(default_factory=lambda: list(METRIC_NAMES))
     k_for_precision: int = 5
+    dims: list[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "dims", self.validate())
 
     def validate(self) -> list[int]:
-        """Check the config; return each game spec's d, read once from its file if it has one."""
+        """Check the config; return each game spec's d."""
         if not self.games:
             raise ValueError("benchmark config needs at least one game")
         if not self.methods:
@@ -194,10 +203,14 @@ class BenchmarkConfig:
         for metric in self.metrics:
             if metric not in METRIC_NAMES:
                 raise ValueError(f"unknown metric {metric!r}")
+        if self.k_for_precision < 1:
+            raise ValueError(f"k_for_precision must be >= 1, got {self.k_for_precision}")
         dims = []
         for spec in self.games:
             if spec.kind not in ("random", "file"):
                 raise ValueError(f"unknown game kind {spec.kind!r}")
+            if spec.instances < 1:
+                raise ValueError(f"game {spec.game_id} needs instances >= 1, got {spec.instances}")
             d = spec.d if spec.kind == "random" else load_game(spec.path).d
             for budget in self.budgets:
                 if budget > (1 << d):
@@ -208,17 +221,29 @@ class BenchmarkConfig:
         for method in self.methods:
             if method.estimator not in ("polyshap", "kernelshap", "permutation"):
                 raise ValueError(f"unknown estimator {method.estimator!r}")
+            if not isinstance(method.paired, bool):
+                raise ValueError(f"paired must be true or false, got {method.paired!r}")
         return dims
 
 
 @dataclass
-class RunRecord:
+class Cell:
+    """One sweep cell: a game, one method configuration and one budget."""
+
     game_id: str
-    instance: int
     method: str
     frontier: str
     paired: bool
     budget: int
+
+    @property
+    def key(self) -> tuple:
+        return (self.game_id, self.method, self.frontier, self.paired, self.budget)
+
+
+@dataclass
+class RunRecord(Cell):
+    instance: int
     seed: int
     metrics: dict[str, float]
     evals_used: int
@@ -226,34 +251,19 @@ class RunRecord:
 
 
 @dataclass
-class SkippedCell:
-    game_id: str
-    method: str
-    frontier: str
-    paired: bool
-    budget: int
+class SkippedCell(Cell):
     reason: str
 
 
 @dataclass
-class FailedCell:
-    game_id: str
+class FailedCell(Cell):
     instance: int
-    method: str
-    frontier: str
-    paired: bool
-    budget: int
     seed: int
     error: str
 
 
 @dataclass
-class MetricsRow:
-    game_id: str
-    method: str
-    frontier: str
-    paired: bool
-    budget: int
+class MetricsRow(Cell):
     metric: str
     mean: float
     sem: float
@@ -276,7 +286,7 @@ def derive_run_seed(base_seed: int, instance: int, budget: int) -> int:
     return int(mix)
 
 
-def series_label(cell: MetricsRow | SkippedCell | FailedCell) -> str:
+def series_label(cell: Cell) -> str:
     """``method|frontier|paired-or-standard``: one method configuration of a cell."""
     return f"{cell.method}|{cell.frontier}|{'paired' if cell.paired else 'standard'}"
 
@@ -289,23 +299,21 @@ def _run_instance(args: tuple) -> tuple[list[RunRecord], list[FailedCell]]:
     """
     spec, instance, cells, seeds, metrics, k = args
 
-    def failed(method: MethodSpec, label: str, budget: int, seed: int, exc: Exception):
-        cell = (spec.game_id, instance, method.estimator, label, method.paired, budget)
-        return FailedCell(*cell, seed, f"{type(exc).__name__}: {exc}")
+    def failed(cell: Cell, seed: int, exc: Exception) -> FailedCell:
+        return FailedCell(*cell.key, instance, seed, f"{type(exc).__name__}: {exc}")
 
     try:
         game = spec.build(instance)
         truth = oracle_shapley(game).shapley
     except Exception as exc:  # game/oracle failures poison the instance's cells, not the sweep
-        return [], [failed(method, label, budget, -1, exc) for method, _, label, budget in cells]
+        return [], [failed(cell, -1, exc) for _, _, cell in cells]
     records: list[RunRecord] = []
     failures: list[FailedCell] = []
-    for method, frontier, label, budget in cells:
+    for method, frontier, cell in cells:
         for seed in seeds:
-            run_seed = derive_run_seed(seed, instance, budget)
             before = game.eval_counter
             try:
-                result = method.run(game, frontier, budget, run_seed)
+                result = method.run(game, frontier, cell.budget, derive_run_seed(seed, instance, cell.budget))
                 evals_used = game.eval_counter - before
                 values: dict[str, float] = {}
                 for name in metrics:
@@ -316,31 +324,17 @@ def _run_instance(args: tuple) -> tuple[list[RunRecord], list[FailedCell]]:
                     elif name == "spearman":
                         values[name] = spearman(result.shapley, truth)
             except Exception as exc:  # run failures recorded, sweep continues
-                failures.append(failed(method, label, budget, seed, exc))
+                failures.append(failed(cell, seed, exc))
                 continue
-            records.append(
-                RunRecord(
-                    game_id=spec.game_id,
-                    instance=instance,
-                    method=method.estimator,
-                    frontier=label,
-                    paired=method.paired,
-                    budget=budget,
-                    seed=seed,
-                    metrics=values,
-                    evals_used=evals_used,
-                    rank_deficient=bool(result.diagnostics.get("rank_deficient", False)),
-                )
-            )
+            rank_deficient = bool(result.diagnostics.get("rank_deficient", False))
+            records.append(RunRecord(*cell.key, instance, seed, values, evals_used, rank_deficient))
     return records, failures
 
 
 def run_benchmark(config: BenchmarkConfig, jobs: int = 1) -> BenchmarkResult:
-    dims = config.validate()
     work = []
-    skipped: list[SkippedCell] = []
-    seen_skip: set[tuple] = set()
-    for spec, d in zip(config.games, dims):
+    skipped: dict[tuple, SkippedCell] = {}
+    for spec, d in zip(config.games, config.dims):
         cells = []
         for method in config.methods:
             frontier = method.frontier_for(d)
@@ -351,13 +345,11 @@ def run_benchmark(config: BenchmarkConfig, jobs: int = 1) -> BenchmarkResult:
                 label, minimum = frontier.order_label, max(frontier.n_columns, d + 2)
                 reason = f"columns d'={frontier.n_columns} exceed budget or budget below d+2"
             for budget in config.budgets:
+                cell = Cell(spec.game_id, method.estimator, label, method.paired, budget)
                 if budget >= minimum:
-                    cells.append((method, frontier, label, budget))
-                    continue
-                key = (spec.game_id, method.estimator, label, method.paired, budget)
-                if key not in seen_skip:
-                    seen_skip.add(key)
-                    skipped.append(SkippedCell(*key, reason=reason))
+                    cells.append((method, frontier, cell))
+                else:
+                    skipped.setdefault(cell.key, SkippedCell(*cell.key, reason))
         if cells:
             shared = (tuple(cells), tuple(config.seeds), tuple(config.metrics))
             work.extend((spec, i, *shared, config.k_for_precision) for i in range(spec.instances))
@@ -383,20 +375,18 @@ def run_benchmark(config: BenchmarkConfig, jobs: int = 1) -> BenchmarkResult:
         runs.extend(records)
         failures.extend(fails)
 
-    runs.sort(
-        key=lambda r: (r.game_id, r.method, r.frontier, r.paired, r.budget, r.instance, r.seed)
-    )
-    skipped.sort(key=lambda s: (s.game_id, s.method, s.frontier, s.paired, s.budget))
-    failures.sort(key=lambda f: (f.game_id, f.method, f.frontier, f.paired, f.budget, f.seed))
+    runs.sort(key=lambda r: (*r.key, r.instance, r.seed))
+    failures.sort(key=lambda f: (*f.key, f.seed))
     rows = aggregate_runs(runs, config.metrics)
-    return BenchmarkResult(runs=runs, rows=rows, skipped=skipped, failures=failures, config=config)
+    absent = sorted(skipped.values(), key=lambda s: s.key)
+    return BenchmarkResult(runs=runs, rows=rows, skipped=absent, failures=failures, config=config)
 
 
 def aggregate_runs(runs: Sequence[RunRecord], metrics: Sequence[str]) -> list[MetricsRow]:
     """Pool per-run metric values over instances and seeds; SEM is stddev/sqrt(n)."""
     grouped: dict[tuple, list[RunRecord]] = {}
     for run in runs:
-        grouped.setdefault((run.game_id, run.method, run.frontier, run.paired, run.budget), []).append(run)
+        grouped.setdefault(run.key, []).append(run)
     rows: list[MetricsRow] = []
     for key in sorted(grouped):
         bucket = grouped[key]
@@ -404,9 +394,7 @@ def aggregate_runs(runs: Sequence[RunRecord], metrics: Sequence[str]) -> list[Me
             vals = np.array([r.metrics[metric] for r in bucket])
             n = len(vals)
             sem = float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-            rows.append(
-                MetricsRow(*key, metric=metric, mean=float(vals.mean()), sem=sem, n_runs=n)
-            )
+            rows.append(MetricsRow(*key, metric, float(vals.mean()), sem, n))
     return rows
 
 
@@ -415,17 +403,7 @@ def _fmt(x: float) -> str:
 
 
 def _csv_fields(row: MetricsRow) -> tuple:
-    return (
-        row.game_id,
-        row.method,
-        row.frontier,
-        row.paired,
-        row.budget,
-        row.metric,
-        _fmt(row.mean),
-        _fmt(row.sem),
-        str(row.n_runs),
-    )
+    return (*row.key, row.metric, _fmt(row.mean), _fmt(row.sem), str(row.n_runs))
 
 
 def _csv_text(entries: Iterable[tuple]) -> str:
@@ -440,12 +418,8 @@ def _csv_text(entries: Iterable[tuple]) -> str:
 def rows_to_csv(rows: Sequence[MetricsRow], skipped: Sequence[SkippedCell], metrics: Sequence[str]) -> str:
     """Canonical CSV: absent cells carry the literal marker 'absent' instead of numbers."""
     entries = [_csv_fields(row) for row in rows]
-    for cell in skipped:
-        for metric in metrics:
-            entries.append(
-                (cell.game_id, cell.method, cell.frontier, cell.paired, cell.budget, metric, "absent", "absent", "0")
-            )
-    entries.sort(key=lambda e: (e[0], e[1], e[2], e[3], e[4], e[5]))
+    entries += [(*cell.key, metric, "absent", "absent", "0") for cell in skipped for metric in metrics]
+    entries.sort(key=lambda e: e[:6])
     return _csv_text(entries)
 
 
@@ -457,28 +431,23 @@ def per_instance_csv(runs: Sequence[RunRecord], metrics: Sequence[str]) -> str:
 
 def plot_data(result: BenchmarkResult) -> dict[str, Any]:
     """Per (game, metric) series of budget points, consumable by any plotting tool."""
-    series: dict[str, Any] = {}
-    for row in result.rows:
-        game_block = series.setdefault(row.game_id, {})
-        metric_block = game_block.setdefault(row.metric, {})
-        metric_block.setdefault(series_label(row), []).append(
-            {
-                "budget": row.budget,
-                "mean": float(_fmt(row.mean)),
-                "sem": float(_fmt(row.sem)),
-                "n_runs": row.n_runs,
-            }
+    points: list[tuple[Cell, str, dict[str, Any]]] = [
+        (
+            row,
+            row.metric,
+            {"budget": row.budget, "mean": float(_fmt(row.mean)), "sem": float(_fmt(row.sem)), "n_runs": row.n_runs},
         )
-    for cell in result.skipped:
-        game_block = series.setdefault(cell.game_id, {})
-        for metric in result.config.metrics:
-            metric_block = game_block.setdefault(metric, {})
-            label = series_label(cell)
-            metric_block.setdefault(label, []).append({"budget": cell.budget, "status": "absent"})
-    for game_block in series.values():
-        for metric_block in game_block.values():
-            for label in metric_block:
-                metric_block[label].sort(key=lambda pt: pt["budget"])
+        for row in result.rows
+    ]
+    points += [
+        (cell, metric, {"budget": cell.budget, "status": "absent"})
+        for cell in result.skipped
+        for metric in result.config.metrics
+    ]
+    series: dict[str, Any] = {}
+    for cell, metric, point in sorted(points, key=lambda p: p[0].budget):
+        metric_block = series.setdefault(cell.game_id, {}).setdefault(metric, {})
+        metric_block.setdefault(series_label(cell), []).append(point)
     return {
         "metadata": {
             "ranking_key": "absolute value",
@@ -492,33 +461,49 @@ def plot_data(result: BenchmarkResult) -> dict[str, Any]:
     }
 
 
+_TOP_KEYS = ("games", "methods", "budgets", "seeds", "metrics", "k_for_precision")
+_GAME_KEYS = ("id", "type", "d", "max_order", "n_terms", "seed", "instances", "path")
+_METHOD_KEYS = ("estimator", "frontier", "paired", "frontier_seed")
+
+
+def _object(raw: Any, allowed: tuple[str, ...], where: str) -> dict[str, Any]:
+    """``raw`` as a JSON object, rejecting any key not in ``allowed`` by name."""
+    if not isinstance(raw, dict):
+        raise TypeError(f"{where} must be an object")
+    for key in raw:
+        if key not in allowed:
+            raise ValueError(f"unknown key {key!r} in {where}")
+    return raw
+
+
 def benchmark_config_from_dict(raw: dict[str, Any]) -> BenchmarkConfig:
     try:
-        games = [
-            GameSpec(
-                game_id=g["id"],
-                kind=g["type"],
-                d=int(g.get("d", 0)),
-                max_order=int(g.get("max_order", 0)),
-                n_terms=int(g.get("n_terms", 0)),
-                seed=int(g.get("seed", 0)),
-                instances=int(g.get("instances", 1)),
-                path=g.get("path", ""),
-            )
-            for g in raw["games"]
-        ]
-        methods = [
-            MethodSpec(
-                estimator=m["estimator"],
-                frontier_spec=m.get("frontier"),
-                paired=bool(m.get("paired", False)),
-                frontier_seed=int(m.get("frontier_seed", 0)),
-            )
-            for m in raw["methods"]
-        ]
-        config = BenchmarkConfig(
-            games=games,
-            methods=methods,
+        raw = _object(raw, _TOP_KEYS, "benchmark config")
+        games = [_object(g, _GAME_KEYS, f"games[{i}]") for i, g in enumerate(raw["games"])]
+        methods = [_object(m, _METHOD_KEYS, f"methods[{i}]") for i, m in enumerate(raw["methods"])]
+        return BenchmarkConfig(
+            games=[
+                GameSpec(
+                    game_id=g["id"],
+                    kind=g["type"],
+                    d=int(g.get("d", 0)),
+                    max_order=int(g.get("max_order", 0)),
+                    n_terms=int(g.get("n_terms", 0)),
+                    seed=int(g.get("seed", 0)),
+                    instances=int(g.get("instances", 1)),
+                    path=g.get("path", ""),
+                )
+                for g in games
+            ],
+            methods=[
+                MethodSpec(
+                    estimator=m["estimator"],
+                    frontier_spec=m.get("frontier"),
+                    paired=m.get("paired", False),
+                    frontier_seed=int(m.get("frontier_seed", 0)),
+                )
+                for m in methods
+            ],
             budgets=[int(b) for b in raw["budgets"]],
             seeds=[int(s) for s in raw["seeds"]],
             metrics=list(raw.get("metrics", METRIC_NAMES)),
@@ -526,8 +511,6 @@ def benchmark_config_from_dict(raw: dict[str, Any]) -> BenchmarkConfig:
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed benchmark config: {exc}") from exc
-    config.validate()
-    return config
 
 
 def load_benchmark_config(path: str) -> BenchmarkConfig:

@@ -31,7 +31,6 @@ import numpy as np
 
 from .coalitions import containment, membership, shapley_weight
 from .frontier import InteractionFrontier
-from .games import Game
 
 
 @dataclass
@@ -202,30 +201,11 @@ def solve_constrained(system: DesignSystem) -> SolveReport:
     return constrained_lstsq(system.matrix, system.target, system.constraint_value)
 
 
-def _sqrt_kernel_weights(masks: range, d: int) -> np.ndarray:
-    return np.sqrt([shapley_weight(m.bit_count(), d) for m in masks])
-
-
 def full_design_matrix(d: int, frontier: InteractionFrontier) -> np.ndarray:
     """The deterministic 2^d x d' design with sqrt-kernel-weight rows (zero at extremes)."""
     if d > 14:
         raise ValueError(f"full design needs d <= 14, got d={d}")
     masks = range(1 << d)
     matrix = design_columns(masks, frontier)
-    matrix *= _sqrt_kernel_weights(masks, d)[:, None]
+    matrix *= np.sqrt([shapley_weight(m.bit_count(), d) for m in masks])[:, None]
     return matrix
-
-
-def solve_exact_full(game: Game, frontier: InteractionFrontier) -> SolveReport:
-    """Exact representation: solve over every proper nonempty coalition with sqrt-kernel weights."""
-    d = game.d
-    if d > 14:
-        raise ValueError(f"exact solve needs d <= 14, got d={d}")
-    if frontier.d != d:
-        raise ValueError(f"dimension mismatch: game d={d}, frontier d={frontier.d}")
-    nu_empty, nu_full = game.evaluate_many([0, (1 << d) - 1]).tolist()
-    masks = range(1, (1 << d) - 1)
-    values = game.evaluate_many(masks)
-    target = _sqrt_kernel_weights(masks, d) * (values - nu_empty)
-    matrix = full_design_matrix(d, frontier)[1:-1]
-    return constrained_lstsq(matrix, target, nu_full - nu_empty)

@@ -18,7 +18,7 @@ from .estimators import (
     kernelshap_from_batch,
     polyshap,
     polyshap_from_batch,
-    project_2poly_to_sv,
+    polyshap_to_sv,
 )
 from .evaluation import bruteforce_shapley
 from .frontier import InteractionFrontier, empty_frontier, k_additive, percent_of_order
@@ -131,7 +131,7 @@ def verify_paired_equivalence(
         for batch in batches:
             ksh = kernelshap_from_batch(batch)
             rep2 = polyshap_from_batch(batch, pairs_frontier).representation
-            projected = project_2poly_to_sv(rep2)
+            projected = polyshap_to_sv(rep2, pairs_frontier)
             worst = max(worst, float(np.max(np.abs(ksh.shapley - projected))))
         trials += len(batches)
         discarded += dropped

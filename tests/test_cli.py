@@ -227,6 +227,33 @@ class TestBenchmarkCommand:
         code = main(["benchmark", "--config", str(path), "--out", str(tmp_path / "o.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda raw: raw["methods"][0].update(paired="false"), "paired must be true or false, got 'false'"),
+            (lambda raw: raw["methods"][0].update(pairred=True), "unknown key 'pairred' in methods[0]"),
+            (lambda raw: raw["games"][0].update(instance=2), "unknown key 'instance' in games[0]"),
+            (lambda raw: raw.update(seed=3), "unknown key 'seed' in benchmark config"),
+            (lambda raw: raw.update(k_for_precision=0), "k_for_precision must be >= 1, got 0"),
+            (lambda raw: raw["games"][0].update(instances=0), "game g needs instances >= 1, got 0"),
+        ],
+        ids=["paired-string", "method-key", "game-key", "top-key", "k-zero", "no-instances"],
+    )
+    def test_bad_config_input_is_config_error(self, tmp_path, capsys, change, message):
+        config = {
+            "games": [{"id": "g", "type": "random", "d": 5, "max_order": 2, "n_terms": 5, "seed": 1}],
+            "methods": [{"estimator": "kernelshap", "paired": False}],
+            "budgets": [10],
+            "seeds": [0],
+        }
+        change(config)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        code = main(["benchmark", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out) == {"error": {"type": "config", "message": message}}
+        assert not (tmp_path / "o.csv").exists()
+
     def test_malformed_file_game_is_parse_error(self, tmp_path, capsys):
         game = tmp_path / "short.game"
         game.write_text("d=3\n10,1.0\n")

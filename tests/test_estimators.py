@@ -11,7 +11,6 @@ from polyshap.estimators import (
     polyshap,
     polyshap_from_batch,
     polyshap_to_sv,
-    project_2poly_to_sv,
 )
 from polyshap.evaluation import bruteforce_shapley
 from polyshap.frontier import InteractionFrontier, empty_frontier, k_additive
@@ -62,30 +61,21 @@ class TestPolyshapToSv:
 
 
 class TestProject2Poly:
+    """A pairs-frontier representation folded onto the players by ``polyshap_to_sv``."""
+
     def test_normalization_identity(self):
         for d in (3, 5, 8):
-            d2 = d + d * (d - 1) // 2
+            frontier = k_additive(d, 2)
             c = 2.7
-            out = project_2poly_to_sv(np.full(d2, c / d2))
+            out = polyshap_to_sv(np.full(frontier.n_columns, c / frontier.n_columns), frontier)
             assert np.allclose(out, np.full(d, c / d))
 
-    def test_agrees_with_general_conversion(self):
-        d = 6
-        rng = np.random.default_rng(1)
-        frontier = k_additive(d, 2)
-        rep = rng.standard_normal(frontier.n_columns)
-        assert np.max(np.abs(project_2poly_to_sv(rep) - polyshap_to_sv(rep, frontier))) < 1e-12
-
     def test_zero_maps_to_zero(self):
-        assert np.array_equal(project_2poly_to_sv(np.zeros(10)), np.zeros(4))
-
-    def test_bad_length(self):
-        with pytest.raises(ValueError):
-            project_2poly_to_sv(np.zeros(11))
+        assert np.array_equal(polyshap_to_sv(np.zeros(10), k_additive(4, 2)), np.zeros(4))
 
     def test_matrix_entries(self):
         # the fold of k_additive(3, 2), read off column by column
-        m = np.column_stack([project_2poly_to_sv(e) for e in np.eye(6)])
+        m = np.column_stack([polyshap_to_sv(e, k_additive(3, 2)) for e in np.eye(6)])
         # columns: {0},{1},{2},{0,1},{0,2},{1,2}
         expected = np.array(
             [
@@ -205,7 +195,7 @@ class TestPairedEquivalence:
                 continue
             ksh = kernelshap_from_batch(batch).shapley
             rep2 = polyshap_from_batch(batch, frontier2).representation
-            assert np.max(np.abs(ksh - project_2poly_to_sv(rep2))) < 1e-6
+            assert np.max(np.abs(ksh - polyshap_to_sv(rep2, frontier2))) < 1e-6
             found += 1
 
     def test_replay_through_csv(self, tmp_path):

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,10 +247,10 @@ class TestRunBenchmark:
         assert calls["oracle"] == random_instances + file_spec.instances
         assert calls["random_game"] == random_instances
         assert calls["frontier"] == len(config.games) * len(config.methods)
-        # validate reads the file once for its d, then each instance reads it
+        # the config reads the file once for its d when built, then each instance reads it
         assert calls["file_read"] == 1 + file_spec.instances
 
-        # a JSON config is validated once more when it is loaded
+        # a JSON config is validated once, when it is built, like any other
         calls["file_read"] = 0
         raw = {
             "games": [{"id": "file", "type": "file", "path": str(path), "instances": 2}],
@@ -258,7 +259,7 @@ class TestRunBenchmark:
             "seeds": config.seeds,
         }
         run_benchmark(benchmark_config_from_dict(raw))
-        assert calls["file_read"] == 2 + file_spec.instances
+        assert calls["file_read"] == 1 + file_spec.instances
 
     def test_absent_marker_when_columns_exceed_budget(self):
         config = tiny_config(budgets=[16, 64])
@@ -322,6 +323,17 @@ class TestRunBenchmark:
         text = per_instance_csv(result.runs, result.config.metrics)
         assert "g#0" in text and "g#1" in text
 
+    def test_plot_data_marks_absent_points(self):
+        result = run_benchmark(tiny_config(budgets=[16, 34, 64]))
+        series = plot_data(result)["series"]["g"]
+        # the pairs frontier (d'=21) is absent at 16, numeric at 34 and 64
+        assert [(s.method, s.budget) for s in result.skipped] == [("polyshap", 16)]
+        for metric in result.config.metrics:
+            points = series[metric]["polyshap|k=2|paired"]
+            assert points[0] == {"budget": 16, "status": "absent"}
+            assert [p["budget"] for p in points] == [16, 34, 64]
+            assert all("mean" in p for p in points[1:])
+
     def test_plot_data_structure(self):
         result = run_benchmark(tiny_config(budgets=[34]))
         data = plot_data(result)
@@ -342,6 +354,14 @@ class TestConfigParsing:
         config = benchmark_config_from_dict(raw)
         assert config.games[0].instances == 2
         assert config.k_for_precision == 5
+
+    def test_replace_validates_again(self):
+        config = tiny_config(budgets=[20])
+        smaller = [replace(config.games[0], d=5)]
+        assert config.dims == [6]
+        assert replace(config, games=smaller).dims == [5]
+        with pytest.raises(ValueError, match="budget 64 exceeds"):
+            replace(config, games=smaller, budgets=[64])
 
     def test_missing_key_rejected(self):
         with pytest.raises(ValueError):

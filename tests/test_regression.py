@@ -20,7 +20,6 @@ from polyshap.regression import (
     build_design,
     constrained_lstsq,
     solve_constrained,
-    solve_exact_full,
 )
 from polyshap.sampling import SamplerConfig, sample
 
@@ -205,29 +204,31 @@ class TestAgainstSvdReference:
 
 
 class TestSolveExactFull:
+    """At budget 2^d the sampler enumerates every proper coalition with weight sqrt(mu(S)),
+    so ``polyshap.polyshap`` solves the exact full system."""
+
+    @staticmethod
+    def exact(game, frontier):
+        return polyshap.polyshap(game, frontier, SamplerConfig(budget_m=1 << game.d))
+
     def test_empty_frontier_gives_exact_shapley(self):
         g = make_random_game(7, 3, 20, seed=3)
-        report = solve_exact_full(g, empty_frontier(7))
+        result = self.exact(g, empty_frontier(7))
         oracle = bruteforce_shapley(g).shapley
-        assert np.max(np.abs(report.coefficients - oracle)) < 1e-8
+        assert np.max(np.abs(result.representation - oracle)) < 1e-8
 
     def test_residual_zero_when_frontier_covers_game(self):
         g = make_random_game(6, 3, 15, seed=4)
-        report = solve_exact_full(g, k_additive(6, 3))
-        assert report.residual_norm < 1e-8
+        result = self.exact(g, k_additive(6, 3))
+        assert result.diagnostics["residual_norm"] < 1e-8
 
     def test_unanimity_game_mass_on_pair(self):
         d = 3
         g = MobiusGame(d, {mask_of([0, 1]): 1.0})
         frontier = InteractionFrontier(d, (mask_of([0, 1]),), "pair")
-        report = solve_exact_full(g, frontier)
-        assert np.allclose(report.coefficients, [0.0, 0.0, 0.0, 1.0], atol=1e-10)
-        assert report.residual_norm < 1e-10
-
-    def test_d_too_large(self):
-        g = MobiusGame(15, {})
-        with pytest.raises(ValueError):
-            solve_exact_full(g, empty_frontier(15))
+        result = self.exact(g, frontier)
+        assert np.allclose(result.representation, [0.0, 0.0, 0.0, 1.0], atol=1e-10)
+        assert result.diagnostics["residual_norm"] < 1e-10
 
 
 class TestProjectionLemma:
