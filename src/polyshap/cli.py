@@ -52,12 +52,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     try:
         if args.order is not None and args.frontier is not None:
             raise ValueError("--order and --frontier are mutually exclusive")
-        if args.method == "permutation":
-            if args.order is not None or args.frontier is not None or args.paired:
-                raise ValueError("permutation takes neither a frontier nor --paired")
-        elif args.method == "kernelshap":
-            if args.order not in (None, 1) or args.frontier is not None:
-                raise ValueError("kernelshap has no interaction frontier")
         spec = args.frontier if args.order is None else str(args.order)
         method = MethodSpec(args.method, spec, args.paired, args.seed)
         frontier = method.frontier_for(game.d)
@@ -94,7 +88,6 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(_error_json("config", str(exc)))
         return EXIT_CONFIG if isinstance(exc, ValueError) else EXIT_IO
-    d_first = config.games[0].d if config.games[0].kind == "random" else None
     _echo(
         {
             "command": "benchmark",
@@ -106,10 +99,10 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
                 {
                     "estimator": m.estimator,
                     "frontier": m.frontier_spec,
-                    "frontier_label": m.label(d_first)[1] if d_first else m.frontier_spec,
+                    "frontier_label": "" if f is None else f.order_label,
                     "paired": m.paired,
                 }
-                for m in config.methods
+                for m, f in zip(config.methods, config.frontiers[0])
             ],
             "budgets": config.budgets,
             "seeds": config.seeds,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
@@ -64,11 +65,16 @@ def oracle_shapley(game: Game) -> OracleResult:
     return bruteforce_shapley(game)
 
 
-def mse(estimate: Sequence[float], truth: Sequence[float]) -> float:
+def _vectors(estimate: Sequence[float], truth: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(estimate, dtype=float)
     b = np.asarray(truth, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    return a, b
+
+
+def mse(estimate: Sequence[float], truth: Sequence[float]) -> float:
+    a, b = _vectors(estimate, truth)
     return float(np.mean((a - b) ** 2))
 
 
@@ -79,35 +85,22 @@ def _top_k(values: np.ndarray, k: int) -> set[int]:
 
 
 def precision_at_k(estimate: Sequence[float], truth: Sequence[float], k: int) -> float:
-    a = np.asarray(estimate, dtype=float)
-    b = np.asarray(truth, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    a, b = _vectors(estimate, truth)
     if not 1 <= k <= len(a):
         raise ValueError(f"k must be in [1, {len(a)}], got {k}")
     return len(_top_k(a, k) & _top_k(b, k)) / k
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    # The values equal to v hold the 1-based ranks (number below v) + 1 through
+    # (number at or below v); v's rank is their mean.
+    ordered = np.sort(values)
+    return (np.searchsorted(ordered, values, "left") + np.searchsorted(ordered, values, "right") + 1) / 2
 
 
 def spearman(estimate: Sequence[float], truth: Sequence[float]) -> float:
     """Pearson correlation of average ranks; 0.0 (with a warning) if either side is constant."""
-    a = np.asarray(estimate, dtype=float)
-    b = np.asarray(truth, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    a, b = _vectors(estimate, truth)
     if len(a) < 2:
         raise ValueError("spearman needs at least 2 entries")
     ra = _average_ranks(a)
@@ -139,6 +132,12 @@ class GameSpec:
     instances: int = 1
     path: str = ""
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("random", "file"):
+            raise ValueError(f"unknown game kind {self.kind!r}")
+        if self.instances < 1:
+            raise ValueError(f"game {self.game_id} needs instances >= 1, got {self.instances}")
+
     def build(self, instance: int) -> Game:
         if self.kind == "random":
             return make_random_game(self.d, self.max_order, self.n_terms, self.seed + instance)
@@ -151,6 +150,16 @@ class MethodSpec:
     frontier_spec: str | None = None
     paired: bool = False
     frontier_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.estimator not in ("polyshap", "kernelshap", "permutation"):
+            raise ValueError(f"unknown estimator {self.estimator!r}")
+        if not isinstance(self.paired, bool):
+            raise ValueError(f"paired must be true or false, got {self.paired!r}")
+        if self.estimator == "permutation" and (self.frontier_spec is not None or self.paired):
+            raise ValueError("permutation takes neither a frontier nor paired sampling")
+        if self.estimator == "kernelshap" and self.frontier_spec not in (None, "1"):
+            raise ValueError("kernelshap has no interaction frontier")
 
     def frontier_for(self, d: int) -> InteractionFrontier | None:
         if self.estimator == "permutation":
@@ -172,11 +181,17 @@ class MethodSpec:
         return polyshap(game, frontier, SamplerConfig(budget_m=budget, paired=self.paired, seed=seed))
 
 
+# One copy of each distinct frontier while any config holds it: the configs that
+# ``dataclasses.replace`` makes (one per unit of a sweep, say) share theirs.
+_FRONTIERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 @dataclass(frozen=True)
 class BenchmarkConfig:
     """A sweep, validated once when built (by ``dataclasses.replace`` too).
 
-    ``dims`` holds each game spec's d, read once from its file if it has one.
+    ``dims`` holds each game spec's d, read once from its file if it has one;
+    ``frontiers[g][m]`` is method m's frontier at game spec g's d, built once.
     """
 
     games: list[GameSpec]
@@ -186,20 +201,13 @@ class BenchmarkConfig:
     metrics: list[str] = field(default_factory=lambda: list(METRIC_NAMES))
     k_for_precision: int = 5
     dims: list[int] = field(init=False, repr=False, compare=False)
+    frontiers: list[list[InteractionFrontier | None]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", self.validate())
-
-    def validate(self) -> list[int]:
-        """Check the config; return each game spec's d."""
-        if not self.games:
-            raise ValueError("benchmark config needs at least one game")
-        if not self.methods:
-            raise ValueError("benchmark config needs at least one method")
-        if not self.budgets:
-            raise ValueError("benchmark config needs at least one budget")
-        if not self.seeds:
-            raise ValueError("benchmark config needs at least one seed")
+        """Check the config; set ``dims`` and ``frontiers``."""
+        for name in ("games", "methods", "budgets", "seeds"):
+            if not getattr(self, name):
+                raise ValueError(f"benchmark config needs at least one {name[:-1]}")
         for metric in self.metrics:
             if metric not in METRIC_NAMES:
                 raise ValueError(f"unknown metric {metric!r}")
@@ -207,10 +215,6 @@ class BenchmarkConfig:
             raise ValueError(f"k_for_precision must be >= 1, got {self.k_for_precision}")
         dims = []
         for spec in self.games:
-            if spec.kind not in ("random", "file"):
-                raise ValueError(f"unknown game kind {spec.kind!r}")
-            if spec.instances < 1:
-                raise ValueError(f"game {spec.game_id} needs instances >= 1, got {spec.instances}")
             d = spec.d if spec.kind == "random" else load_game(spec.path).d
             for budget in self.budgets:
                 if budget > (1 << d):
@@ -218,12 +222,10 @@ class BenchmarkConfig:
                         f"budget {budget} exceeds 2^d for game {spec.game_id} (d={d})"
                     )
             dims.append(d)
-        for method in self.methods:
-            if method.estimator not in ("polyshap", "kernelshap", "permutation"):
-                raise ValueError(f"unknown estimator {method.estimator!r}")
-            if not isinstance(method.paired, bool):
-                raise ValueError(f"paired must be true or false, got {method.paired!r}")
-        return dims
+        built = [[m.frontier_for(d) for m in self.methods] for d in dims]
+        shared = [[f if f is None else _FRONTIERS.setdefault(f, f) for f in row] for row in built]
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "frontiers", shared)
 
 
 @dataclass
@@ -334,10 +336,9 @@ def _run_instance(args: tuple) -> tuple[list[RunRecord], list[FailedCell]]:
 def run_benchmark(config: BenchmarkConfig, jobs: int = 1) -> BenchmarkResult:
     work = []
     skipped: dict[tuple, SkippedCell] = {}
-    for spec, d in zip(config.games, config.dims):
+    for spec, d, frontiers in zip(config.games, config.dims, config.frontiers):
         cells = []
-        for method in config.methods:
-            frontier = method.frontier_for(d)
+        for method, frontier in zip(config.methods, frontiers):
             if frontier is None:
                 label, minimum = "", d + 1
                 reason = f"budget below one permutation sweep (d+1={d + 1})"
@@ -461,56 +462,61 @@ def plot_data(result: BenchmarkResult) -> dict[str, Any]:
     }
 
 
-_TOP_KEYS = ("games", "methods", "budgets", "seeds", "metrics", "k_for_precision")
-_GAME_KEYS = ("id", "type", "d", "max_order", "n_terms", "seed", "instances", "path")
-_METHOD_KEYS = ("estimator", "frontier", "paired", "frontier_seed")
+# Each JSON object of a config: JSON key -> (field, JSON type, default), where
+# [type] is a list of that type, a spec class a nested object and ... required.
+_TABLES: dict[type, dict[str, tuple[str, Any, Any]]] = {
+    BenchmarkConfig: {
+        "games": ("games", [GameSpec], ...),
+        "methods": ("methods", [MethodSpec], ...),
+        "budgets": ("budgets", [int], ...),
+        "seeds": ("seeds", [int], ...),
+        "metrics": ("metrics", [str], list(METRIC_NAMES)),
+        "k_for_precision": ("k_for_precision", int, 5),
+    },
+    GameSpec: {
+        "id": ("game_id", str, ...),
+        "type": ("kind", str, ...),
+        "d": ("d", int, 0),
+        "max_order": ("max_order", int, 0),
+        "n_terms": ("n_terms", int, 0),
+        "seed": ("seed", int, 0),
+        "instances": ("instances", int, 1),
+        "path": ("path", str, ""),
+    },
+    MethodSpec: {
+        "estimator": ("estimator", str, ...),
+        "frontier": ("frontier_spec", str, None),
+        "paired": ("paired", bool, False),
+        "frontier_seed": ("frontier_seed", int, 0),
+    },
+}
+_JSON_NAMES = {bool: "true or false", int: "an integer", str: "a string", list: "a list", dict: "an object"}
 
 
-def _object(raw: Any, allowed: tuple[str, ...], where: str) -> dict[str, Any]:
-    """``raw`` as a JSON object, rejecting any key not in ``allowed`` by name."""
-    if not isinstance(raw, dict):
-        raise TypeError(f"{where} must be an object")
+def _read(raw: Any, kind: Any, where: str) -> Any:
+    """``raw`` as ``kind``; an unknown or missing key or a wrong JSON type (a bool or a
+    float is not an integer) is a ``ValueError`` that names it."""
+    json_type = list if isinstance(kind, list) else dict if kind in _TABLES else kind
+    if type(raw) is not json_type:
+        raise ValueError(f"{where} must be {_JSON_NAMES[json_type]}, got {raw!r}")
+    if json_type is list:
+        return [_read(item, kind[0], f"{where}[{i}]") for i, item in enumerate(raw)]
+    if json_type is not dict:
+        return raw
     for key in raw:
-        if key not in allowed:
+        if key not in _TABLES[kind]:
             raise ValueError(f"unknown key {key!r} in {where}")
-    return raw
+    values = {}
+    for key, (name, sub, default) in _TABLES[kind].items():
+        if key not in raw and default is ...:
+            raise ValueError(f"missing key {key!r} in {where}")
+        value = raw.get(key, default)
+        values[name] = None if value is None and default is None else _read(value, sub, key)
+    return kind(**values)
 
 
 def benchmark_config_from_dict(raw: dict[str, Any]) -> BenchmarkConfig:
-    try:
-        raw = _object(raw, _TOP_KEYS, "benchmark config")
-        games = [_object(g, _GAME_KEYS, f"games[{i}]") for i, g in enumerate(raw["games"])]
-        methods = [_object(m, _METHOD_KEYS, f"methods[{i}]") for i, m in enumerate(raw["methods"])]
-        return BenchmarkConfig(
-            games=[
-                GameSpec(
-                    game_id=g["id"],
-                    kind=g["type"],
-                    d=int(g.get("d", 0)),
-                    max_order=int(g.get("max_order", 0)),
-                    n_terms=int(g.get("n_terms", 0)),
-                    seed=int(g.get("seed", 0)),
-                    instances=int(g.get("instances", 1)),
-                    path=g.get("path", ""),
-                )
-                for g in games
-            ],
-            methods=[
-                MethodSpec(
-                    estimator=m["estimator"],
-                    frontier_spec=m.get("frontier"),
-                    paired=m.get("paired", False),
-                    frontier_seed=int(m.get("frontier_seed", 0)),
-                )
-                for m in methods
-            ],
-            budgets=[int(b) for b in raw["budgets"]],
-            seeds=[int(s) for s in raw["seeds"]],
-            metrics=list(raw.get("metrics", METRIC_NAMES)),
-            k_for_precision=int(raw.get("k_for_precision", 5)),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed benchmark config: {exc}") from exc
+    return _read(raw, BenchmarkConfig, "benchmark config")
 
 
 def load_benchmark_config(path: str) -> BenchmarkConfig:

@@ -26,6 +26,7 @@ from polyshap.games import dump_lookup_file, load_lookup_game, make_random_game,
 from polyshap.regression import build_design
 from polyshap.sampling import SamplerConfig, sample
 from polyshap.verify import (
+    ATTEMPTS_PER_TRIAL,
     verify_consistency,
     verify_leverage_closed_form,
     verify_oddk_conjecture,
@@ -79,7 +80,7 @@ def test_criterion_03_degree2_exact_recovery():
     done = 0
     attempt = 0
     discarded = 0
-    while done < 30:
+    while done < 30 and attempt < ATTEMPTS_PER_TRIAL * 30:
         game = make_random_game(d, 2, 20, seed=4000 + attempt)
         truth = mobius_exact_shapley(game)
         cfg = SamplerConfig(budget_m=budget, paired=True, seed=attempt)
@@ -91,6 +92,7 @@ def test_criterion_03_degree2_exact_recovery():
         estimate = kernelshap_from_batch(batch).shapley
         worst = max(worst, float(np.max(np.abs(estimate - truth))))
         done += 1
+    assert done == 30, f"only {done} of 30 full-rank draws in {attempt} attempts"
     print(
         f"ACCEPTANCE 3 degree-2 exact recovery: max dev {worst:.3e} over 30 trials "
         f"({discarded} discarded)"

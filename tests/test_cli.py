@@ -236,8 +236,26 @@ class TestBenchmarkCommand:
             (lambda raw: raw.update(seed=3), "unknown key 'seed' in benchmark config"),
             (lambda raw: raw.update(k_for_precision=0), "k_for_precision must be >= 1, got 0"),
             (lambda raw: raw["games"][0].update(instances=0), "game g needs instances >= 1, got 0"),
+            (lambda raw: raw["methods"][0].update(estimator="polyshap", frontier="banana"),
+             "bad frontier spec 'banana'"),
+            (lambda raw: raw["methods"][0].update(estimator="polyshap", frontier="3@x"),
+             "bad frontier spec '3@x'"),
+            (lambda raw: raw["methods"][0].update(estimator="polyshap", frontier="12"),
+             "k must be in [1, 5], got 12"),
+            (lambda raw: raw["methods"][0].update(frontier=5), "frontier must be a string, got 5"),
+            (lambda raw: raw["games"][0].update(path=0), "path must be a string, got 0"),
+            (lambda raw: raw["games"][0].update(d=6.9), "d must be an integer, got 6.9"),
+            (lambda raw: raw.update(budgets=[40.7]), "budgets[0] must be an integer, got 40.7"),
+            (lambda raw: raw.update(seeds=[True]), "seeds[0] must be an integer, got True"),
+            (lambda raw: raw["methods"][0].update(estimator="permutation", paired=True, frontier="2"),
+             "permutation takes neither a frontier nor paired sampling"),
+            (lambda raw: raw["methods"][0].update(frontier="3"), "kernelshap has no interaction frontier"),
         ],
-        ids=["paired-string", "method-key", "game-key", "top-key", "k-zero", "no-instances"],
+        ids=[
+            "paired-string", "method-key", "game-key", "top-key", "k-zero", "no-instances",
+            "frontier-word", "frontier-percent", "frontier-order", "frontier-number", "path-number",
+            "d-float", "budget-float", "seed-bool", "permutation-frontier", "kernelshap-frontier",
+        ],
     )
     def test_bad_config_input_is_config_error(self, tmp_path, capsys, change, message):
         config = {

@@ -3,13 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyshap.evaluation import (
     BenchmarkConfig,
     GameSpec,
     MethodSpec,
+    _average_ranks,
     bruteforce_shapley,
     benchmark_config_from_dict,
     mse,
@@ -132,6 +133,36 @@ class TestSpearman:
         assert val == pytest.approx(expected)
 
 
+def average_ranks_loop(values: np.ndarray) -> np.ndarray:
+    """The tie-run loop that ``_average_ranks`` replaced, kept as its reference."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestAverageRanks:
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.sampled_from([-2.0, -0.0, 0.0, 0.5, 3.0]) | st.floats(allow_nan=False),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    def test_equals_the_loop(self, values):
+        # a small pool makes ties, -0.0 against 0.0 included
+        a = np.array(values)
+        assert _average_ranks(a).tobytes() == average_ranks_loop(a).tobytes()
+
+
 class TestMetricInvariances:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -240,13 +271,17 @@ class TestRunBenchmark:
         counted(games, "read_rows", "file_read", str(path))
         file_spec = GameSpec(game_id="file", kind="file", path=str(path), instances=2)
         config = tiny_config(games=tiny_config().games + [file_spec])
+        # each constructed config builds one frontier per (game spec, method):
+        # one game spec for the inner tiny_config(), two for this config
+        builds = (1 + len(config.games)) * len(config.methods)
+        assert calls["frontier"] == builds
         result = run_benchmark(config)
 
         assert not result.failures
         random_instances = config.games[0].instances
         assert calls["oracle"] == random_instances + file_spec.instances
         assert calls["random_game"] == random_instances
-        assert calls["frontier"] == len(config.games) * len(config.methods)
+        assert calls["frontier"] == builds  # run_benchmark builds none
         # the config reads the file once for its d when built, then each instance reads it
         assert calls["file_read"] == 1 + file_spec.instances
 
@@ -260,6 +295,7 @@ class TestRunBenchmark:
         }
         run_benchmark(benchmark_config_from_dict(raw))
         assert calls["file_read"] == 1 + file_spec.instances
+        assert calls["frontier"] == builds + 1
 
     def test_absent_marker_when_columns_exceed_budget(self):
         config = tiny_config(budgets=[16, 64])
@@ -341,6 +377,40 @@ class TestRunBenchmark:
         assert "mse" in data["series"]["g"]
 
 
+def full_raw_config():
+    """A valid JSON config that names every key of the schema."""
+    return {
+        "games": [
+            {"id": "g", "type": "random", "d": 5, "max_order": 2, "n_terms": 5, "seed": 1, "instances": 1, "path": ""}
+        ],
+        "methods": [{"estimator": "polyshap", "frontier": "2", "paired": True, "frontier_seed": 0}],
+        "budgets": [20],
+        "seeds": [0],
+        "metrics": ["mse"],
+        "k_for_precision": 5,
+    }
+
+
+def json_values(value, path=()):
+    """(path, value) for every value nested in a JSON document, the root excluded."""
+    if path:
+        yield path, value
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from json_values(item, path + (key,))
+
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
 class TestConfigParsing:
     def test_from_dict_roundtrip(self):
         raw = {
@@ -355,11 +425,33 @@ class TestConfigParsing:
         assert config.games[0].instances == 2
         assert config.k_for_precision == 5
 
+    def test_full_config_loads(self):
+        config = benchmark_config_from_dict(full_raw_config())
+        assert config.methods == [MethodSpec("polyshap", "2", True, 0)]
+        assert [[f.order_label for f in row] for row in config.frontiers] == [["k=2"]]
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_wrong_json_type_is_value_error(self, data):
+        # any one value of a valid config, replaced by one of another JSON type
+        raw = full_raw_config()
+        path, old = data.draw(st.sampled_from(list(json_values(raw))))
+        new = data.draw(JSON_VALUES.filter(lambda v: type(v) is not type(old)))
+        assume(not (path[-1] == "frontier" and new is None))  # null is the frontier's default
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = new
+        with pytest.raises(ValueError):
+            benchmark_config_from_dict(raw)
+
     def test_replace_validates_again(self):
         config = tiny_config(budgets=[20])
         smaller = [replace(config.games[0], d=5)]
         assert config.dims == [6]
         assert replace(config, games=smaller).dims == [5]
+        # configs made by replace share equal frontiers rather than each keeping a copy
+        assert replace(config, seeds=[9]).frontiers[0][1] is config.frontiers[0][1]
         with pytest.raises(ValueError, match="budget 64 exceeds"):
             replace(config, games=smaller, budgets=[64])
 
