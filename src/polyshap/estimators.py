@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .coalitions import fold, membership
+from .coalitions import fold
 from .frontier import InteractionFrontier, empty_frontier
 from .games import Game
 from .regression import build_design, solve_constrained
@@ -59,7 +59,7 @@ def polyshap_to_sv(rep: np.ndarray, frontier: InteractionFrontier) -> np.ndarray
         raise ValueError(
             f"representation length {rep.shape} does not match d'={frontier.n_columns}"
         )
-    return fold(membership(frontier.column_masks, frontier.d), rep)
+    return fold(frontier.membership, rep)
 
 
 def _efficiency_gap(shapley: np.ndarray, constraint: float) -> float:

@@ -119,6 +119,15 @@ def spearman(estimate: Sequence[float], truth: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _check_types(spec: Any, kind: type, *names: str) -> None:
+    """A ``ValueError`` naming the first of ``spec``'s fields ``names`` that is not a
+    ``kind``; a bool is not an int here, as in a JSON config."""
+    for name in names:
+        value = getattr(spec, name)
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise ValueError(f"{name} must be {_JSON_NAMES[kind]}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """Either a seeded family of random coefficient games or a game file."""
@@ -133,6 +142,8 @@ class GameSpec:
     path: str = ""
 
     def __post_init__(self) -> None:
+        _check_types(self, str, "game_id", "kind", "path")
+        _check_types(self, int, "d", "max_order", "n_terms", "seed", "instances")
         if self.kind not in ("random", "file"):
             raise ValueError(f"unknown game kind {self.kind!r}")
         if self.instances < 1:
@@ -152,6 +163,10 @@ class MethodSpec:
     frontier_seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_types(self, str, "estimator")
+        if self.frontier_spec is not None:
+            _check_types(self, str, "frontier_spec")
+        _check_types(self, int, "frontier_seed")
         if self.estimator not in ("polyshap", "kernelshap", "permutation"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if not isinstance(self.paired, bool):

@@ -11,12 +11,21 @@ size >= 2 of a term is a term.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .coalitions import FileFormatError, binomial, enumerate_subset_masks, read_rows, write_rows
-from .coalitions import _check_d
+from .coalitions import (
+    FileFormatError,
+    _check_d,
+    binomial,
+    enumerate_subset_masks,
+    membership,
+    read_rows,
+    write_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -50,28 +59,56 @@ class InteractionFrontier:
         """Masks of the d' regression columns: the singletons, then the terms."""
         return [1 << i for i in range(self.d)] + list(self.terms)
 
+    @cached_property
+    def membership(self) -> np.ndarray:
+        """Read-only (d', d) membership array of ``column_masks``, built on first read."""
+        members = membership(self.column_masks, self.d)
+        members.flags.writeable = False
+        return members
+
+    def __getstate__(self) -> dict:
+        """The fields alone: a pickled copy builds its own read-only ``membership``."""
+        return {k: v for k, v in self.__dict__.items() if k != "membership"}
+
     def __len__(self) -> int:
         return len(self.terms)
+
+
+def _unrank(d: int, size: int, ranks: list[int]) -> list[int]:
+    """The size-``size`` masks over d players at the given colex ranks.
+
+    Combinatorial number system: the rank of {c_1 < ... < c_size} is
+    sum_i C(c_i, i), so c_i is the largest c with C(c, i) <= what is left.
+    """
+    tables = [[binomial(c, i) for c in range(d)] for i in range(size + 1)]
+    masks = []
+    for rank in ranks:
+        mask = 0
+        for i in range(size, 0, -1):
+            c = bisect_right(tables[i], rank) - 1
+            mask |= 1 << c
+            rank -= tables[i][c]
+        masks.append(mask)
+    return masks
 
 
 def _build(d: int, k: int, n: int, seed: int, label: str) -> InteractionFrontier:
     """All interactions of sizes 2..k, then n of size k + 1 drawn uniformly (seeded).
 
-    The draw is a reservoir over the size-(k+1) masks in ascending order:
-    item i >= n replaces slot ``rng.integers(0, i + 1)`` when that is below
-    n. One call draws every slot, advancing the generator exactly as one
-    call per item would. The blocks come out in frontier order, so only
-    the drawn terms are sorted.
+    The draw is a reservoir over the C(d, k + 1) size-(k+1) masks in
+    ascending (colex) order: item i >= n replaces slot ``rng.integers(0, i + 1)``
+    when that is below n. One call draws every slot, advancing the generator
+    exactly as one call per item would; only the n kept items are unranked
+    into masks. The blocks come out in frontier order.
     """
     masks = [m for size in range(2, k + 1) for m in enumerate_subset_masks(d, size)]
     if n:
-        pool = list(enumerate_subset_masks(d, k + 1))
-        slots = np.random.default_rng(seed).integers(0, np.arange(n + 1, len(pool) + 1))
+        slots = np.random.default_rng(seed).integers(0, np.arange(n + 1, binomial(d, k + 1) + 1))
         kept = list(range(n))
         hits = np.flatnonzero(slots < n)
         for slot, item in zip(slots[hits].tolist(), (hits + n).tolist()):
             kept[slot] = item
-        masks.extend(pool[i] for i in sorted(kept))
+        masks.extend(_unrank(d, k + 1, sorted(kept)))
     return InteractionFrontier(d, tuple(masks), label)
 
 

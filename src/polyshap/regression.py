@@ -4,14 +4,23 @@ The constrained problem  min ||X phi - y||  s.t.  <phi, 1> = c  is solved by
 eliminating one coordinate: substituting  phi_0 = c - sum_{j>0} phi_j  leaves
 the unconstrained problem  min ||A x - b||  with  A = X[:, 1:] - X[:, :1]  and
 b = y - X[:, 0] c,  and  phi = (c - sum(x), x)  sums to c by construction.
-A has full column rank exactly when the constrained solution is unique. The
-solve factors  G = A^T A = L L^T  by Cholesky, solves, and takes one step of
-corrected semi-normal refinement (Bjorck, 1987):  x += G^{-1} A^T (b - A x),
-which recovers the digits that forming G loses on ill-conditioned designs.
+A has full column rank exactly when the constrained solution is unique.
+A is never formed: the elimination is a fixed linear map, so with
+G = X^T X,  h = X^T y  and  g0 = G[0, 1:]  the eliminated normal equations are
+
+    A^T A = G[1:, 1:] - (g0 1^T + 1 g0^T) + G[0, 0],
+    A^T b = (h[1:] - h[0]) - c (g0 - G[0, 0]),
+
+built in O(d'^2) on G's trailing block. The solve factors  A^T A = L L^T  by
+Cholesky, solves, and takes one step of corrected semi-normal refinement
+(Bjorck, 1987):  x += (A^T A)^{-1} A^T r,  which recovers the digits that
+forming the Gram loses on ill-conditioned designs. The residual is computed
+from X,  r = b - A x = y - X phi,  and read back through the same map,
+A^T r = (X^T r)[1:] - (X^T r)[0].
 
 The result is accepted when both tests hold, each against sqrt(eps):
 
-* pivots: min diag(L)^2 >= sqrt(eps) * max diag(G), which rejects
+* pivots: min diag(L)^2 >= sqrt(eps) * max diag(A^T A), which rejects
   structurally singular designs, underdetermined ones included;
 * refinement: ||step||_inf <= sqrt(eps) * ||x||_inf, which rejects a solve
   that lost too many digits.
@@ -52,13 +61,13 @@ class SolveReport:
     constraint_value: float
     singular_value_cutoff: float
     solver: str  # "cholesky" or "svd"
-    pivot_ratio: float | None  # max diag(G) / min diag(L)^2; None when the factorization failed
+    pivot_ratio: float | None  # max diag(A^T A) / min diag(L)^2; None when the factorization failed
 
 
 def design_columns(masks: list[int], frontier: InteractionFrontier) -> np.ndarray:
     """(n, d') 0/1 matrix over singleton columns then frontier term columns."""
     d = frontier.d
-    return containment(membership(masks, d), membership(frontier.column_masks, d))
+    return containment(membership(masks, d), frontier.membership)
 
 
 def build_design(batch, frontier: InteractionFrontier) -> DesignSystem:
@@ -111,8 +120,8 @@ def constrained_lstsq(
 
     Cholesky on the eliminated system, refined once, is accepted when its
     pivot and refinement tests pass (see the module docstring); its rank is
-    d' - 1 and its cutoff is an estimate, sqrt(max diag G) * max(m, d') * eps
-    with sqrt(max diag G) standing in for sigma_max. Otherwise the
+    d' - 1 and its cutoff is an estimate, sqrt(max diag A^T A) * max(m, d') * eps
+    with sqrt(max diag A^T A) standing in for sigma_max. Otherwise the
     minimum-norm SVD solve runs, with singular values below
     sigma_max * max(m, d') * eps treated as zero (numpy's lstsq default);
     rank deficiency of the projected matrix is flagged rather than raised.
@@ -139,33 +148,43 @@ def _refined_cholesky(
 ) -> tuple[SolveReport | None, float | None]:
     """Cholesky solve of the eliminated system with one refinement step.
 
-    Returns the report, or None when a test rejects the result, together
-    with the pivot ratio (None when the factorization failed).
+    The eliminated system is mapped from the Gram  G = X^T X  and  h = X^T y;
+    the refinement residual comes from X itself, so no eliminated copy of
+    the design is made. Returns the report, or None when a test rejects the
+    result, together with the pivot ratio (None when the factorization failed).
     """
     m, n_cols = matrix.shape
-    eliminated = matrix[:, 1:] - matrix[:, :1]
-    rhs = target - matrix[:, 0] * constraint_value
-    gram = eliminated.T @ eliminated
-    gram_max = float(gram.diagonal().max(initial=0.0))
+    c = constraint_value
+    gram = matrix.T @ matrix
+    h = matrix.T @ target
+    g00, g0 = gram[0, 0], gram[0, 1:].copy()
+    eliminated_gram = gram[1:, 1:]  # A^T A, built in place on G's trailing block
+    eliminated_gram -= g0[:, None] + g0[None, :]  # summed first, so A^T A stays exactly symmetric
+    eliminated_gram += g00
+    gram_max = float(eliminated_gram.diagonal().max(initial=0.0))
     try:
-        lower = np.linalg.cholesky(gram)
+        lower = np.linalg.cholesky(eliminated_gram)
     except np.linalg.LinAlgError:
         return None, None
+    del gram, eliminated_gram
     pivot_min = float((lower.diagonal() ** 2).min(initial=math.inf))
     pivot_ratio = gram_max / pivot_min
     if pivot_min < _SQRT_EPS * gram_max:
         return None, pivot_ratio
-    x = _cholesky_solve(lower, eliminated.T @ rhs)
-    step = _cholesky_solve(lower, eliminated.T @ (rhs - eliminated @ x))
+    x = _cholesky_solve(lower, (h[1:] - h[0]) - c * (g0 - g00))
+    phi = np.concatenate(([c - x.sum()], x))
+    back = matrix.T @ (target - matrix @ phi)  # A^T r = (X^T r)[1:] - (X^T r)[0]
+    step = _cholesky_solve(lower, back[1:] - back[0])
     x += step
     if np.abs(step).max(initial=0.0) > _SQRT_EPS * np.abs(x).max(initial=0.0):
         return None, pivot_ratio
+    phi = np.concatenate(([c - x.sum()], x))
     report = SolveReport(
-        coefficients=np.concatenate(([constraint_value - x.sum()], x)),
+        coefficients=phi,
         rank=n_cols - 1,
         rank_deficient=False,
-        residual_norm=float(np.linalg.norm(rhs - eliminated @ x)),
-        constraint_value=float(constraint_value),
+        residual_norm=float(np.linalg.norm(target - matrix @ phi)),
+        constraint_value=float(c),
         singular_value_cutoff=math.sqrt(gram_max) * max(m, n_cols) * _EPS,
         solver="cholesky",
         pivot_ratio=pivot_ratio,

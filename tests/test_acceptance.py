@@ -5,6 +5,7 @@ config) through a session fixture so budget accounting, accuracy ordering,
 and the paired-collapse byte comparison all refer to the same runs.
 """
 
+import os
 import time
 from pathlib import Path
 
@@ -41,7 +42,8 @@ CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "paired_vs_st
 def sweep():
     config = load_benchmark_config(str(CONFIG_PATH))
     start = time.perf_counter()
-    result = run_benchmark(config, jobs=1)
+    # one BLAS thread per worker, so the bytes are those of the one-thread sweep
+    result = run_benchmark(config, jobs=min(2, len(os.sched_getaffinity(0))))
     elapsed = time.perf_counter() - start
     return result, elapsed
 

@@ -445,6 +445,30 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             benchmark_config_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: GameSpec("g", "random", instances="2"), "instances must be an integer, got '2'"),
+            (lambda: GameSpec("g", "random", d=True), "d must be an integer, got True"),
+            (lambda: GameSpec("g", "random", d=6, seed=1.0), "seed must be an integer, got 1.0"),
+            (lambda: GameSpec(7, "random"), "game_id must be a string, got 7"),
+            (lambda: GameSpec("g", None), "kind must be a string, got None"),
+            (lambda: GameSpec("g", "file", path=0), "path must be a string, got 0"),
+            (lambda: MethodSpec("polyshap", 5), "frontier_spec must be a string, got 5"),
+            (lambda: MethodSpec(1), "estimator must be a string, got 1"),
+            (lambda: MethodSpec("polyshap", "2", frontier_seed=False), "frontier_seed must be an integer, got False"),
+        ],
+        ids=[
+            "instances-string", "d-bool", "seed-float", "id-number", "kind-none", "path-number",
+            "frontier-number", "estimator-number", "frontier-seed-bool",
+        ],
+    )
+    def test_spec_built_in_python_rejects_wrong_type(self, build, message):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == message
+
     def test_replace_validates_again(self):
         config = tiny_config(budgets=[20])
         smaller = [replace(config.games[0], d=5)]

@@ -1,11 +1,12 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyshap.coalitions import binomial, enumerate_subset_masks
+from polyshap.coalitions import binomial, enumerate_subset_masks, membership
 from polyshap.frontier import (
     InteractionFrontier,
     empty_frontier,
@@ -162,6 +163,19 @@ class TestFrontierType:
         ell = min(10, (1 << d) - d - 2)
         assert_well_formed(partial(d, ell, seed=seed))
 
+    def test_membership_is_built_once_and_read_only(self):
+        frontier = log_frontier(12, seed=3)
+        members = frontier.membership
+        assert frontier.membership is members
+        assert not members.flags.writeable
+        with pytest.raises(ValueError):
+            members[0, 0] = not members[0, 0]
+        assert np.array_equal(members, membership(frontier.column_masks, frontier.d))
+        assert members.shape == (frontier.n_columns, frontier.d)
+        # a copy sent to a worker process builds its own, read-only too
+        copy = pickle.loads(pickle.dumps(frontier))
+        assert copy == frontier and not copy.membership.flags.writeable
+
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
@@ -303,6 +317,14 @@ class TestOneBuilder:
                 built, reference = (f(*args) for f in BUILDERS[name])
                 assert built.terms == reference.terms, (name, args)
                 assert built.order_label == reference.order_label, (name, args)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_log_frontier_at_d128_equals_the_reference(self, seed):
+        # the reference walks all C(128, 3) = 341,376 triples; the builder
+        # unranks only the 1,630 it keeps
+        built, reference = log_frontier(128, seed), reference_log_frontier(128, seed)
+        assert built.terms == reference.terms
+        assert built.order_label == reference.order_label
 
     @pytest.mark.parametrize(
         "name, args",

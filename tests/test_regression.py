@@ -1,10 +1,13 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyshap
 from polyshap.evaluation import bruteforce_shapley
@@ -17,6 +20,8 @@ from polyshap.frontier import (
 )
 from polyshap.games import LookupGame, MobiusGame, make_random_game
 from polyshap.regression import (
+    DesignSystem,
+    _cholesky_solve,
     build_design,
     constrained_lstsq,
     solve_constrained,
@@ -40,6 +45,36 @@ def reference_lstsq(matrix, target, constraint_value):
     beta, _, rank, singulars = np.linalg.lstsq(projected, rhs, rcond=None)
     coefficients = beta - beta.mean() + constraint_value / n_cols
     return coefficients, int(rank) < n_cols - 1
+
+
+def reference_refined_cholesky(matrix, target, constraint_value):
+    """The Cholesky path on an eliminated copy A = X[:, 1:] - X[:, :1] of the design,
+    kept as the reference for the Gram-first solve.
+
+    Returns the coefficients, or None when a test rejects the result.
+    """
+    eps = np.finfo(float).eps
+    eliminated = matrix[:, 1:] - matrix[:, :1]
+    rhs = target - matrix[:, 0] * constraint_value
+    gram = eliminated.T @ eliminated
+    gram_max = float(gram.diagonal().max(initial=0.0))
+    try:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+    if float((lower.diagonal() ** 2).min(initial=np.inf)) < np.sqrt(eps) * gram_max:
+        return None
+    x = _cholesky_solve(lower, eliminated.T @ rhs)
+    step = _cholesky_solve(lower, eliminated.T @ (rhs - eliminated @ x))
+    x += step
+    if np.abs(step).max(initial=0.0) > np.sqrt(eps) * np.abs(x).max(initial=0.0):
+        return None
+    return np.concatenate(([constraint_value - x.sum()], x))
+
+
+def weighted_design(rng, m, n_cols, weights):
+    """A random 0/1 design with weighted rows and a weighted target."""
+    return rng.integers(0, 2, (m, n_cols)) * weights[:, None], weights * rng.standard_normal(m)
 
 
 class TestBuildDesign:
@@ -201,6 +236,46 @@ class TestAgainstSvdReference:
         assert report.solver == "cholesky"
         assert not report.rank_deficient and report.rank == d + d * (d - 1) // 2 - 1
         assert 1.0 <= report.pivot_ratio < 1 / np.sqrt(np.finfo(float).eps)
+
+
+class TestGramSolve:
+    """The solve from X^T X against the reference solve on an eliminated copy."""
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_equals_the_eliminated_copy_solve(self, data):
+        n_cols = data.draw(st.integers(1, 24), label="d'")
+        m = data.draw(st.integers(2 * n_cols + 2, 6 * n_cols + 8), label="m")
+        weights = np.array(data.draw(st.lists(st.floats(0.05, 4.0), min_size=m, max_size=m)))
+        c = data.draw(st.floats(-10.0, 10.0), label="c")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        matrix, target = weighted_design(rng, m, n_cols, weights)
+        report = constrained_lstsq(matrix, target, c)
+        reference = reference_refined_cholesky(matrix, target, c)
+        if reference is None:
+            coefficients, deficient = reference_lstsq(matrix, target, c)
+            assert report.solver == "svd"
+            assert report.rank_deficient == deficient
+            assert np.array_equal(report.coefficients, coefficients)
+        else:
+            assert report.solver == "cholesky" and not report.rank_deficient
+            assert np.max(np.abs(report.coefficients - reference)) <= 1e-10
+
+    def test_allocates_no_copy_of_the_design(self):
+        # an eliminated copy of the design would take 8 m (d' - 1) bytes; the
+        # solve needs only d' x d' arrays and m-vectors
+        rng = np.random.default_rng(0)
+        m, n_cols = 4000, 200
+        matrix, target = weighted_design(rng, m, n_cols, rng.uniform(0.1, 2.0, m))
+        system = DesignSystem(matrix, target, 1.5, n_cols)
+        tracemalloc.start()
+        try:
+            report = solve_constrained(system)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.solver == "cholesky"
+        assert peak < matrix.nbytes / 2, (peak, matrix.nbytes)
 
 
 class TestSolveExactFull:
