@@ -81,6 +81,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
     try:
+        if args.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {args.jobs}")
         config = load_benchmark_config(args.config)
     except FileFormatError as exc:
         print(_error_json("parse", str(exc)))

@@ -18,7 +18,7 @@ import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -126,6 +126,14 @@ def _check_types(spec: Any, kind: type, *names: str) -> None:
         value = getattr(spec, name)
         if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
             raise ValueError(f"{name} must be {_JSON_NAMES[kind]}, got {value!r}")
+
+
+def _named(entry: str, build: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``build(*args, **kwargs)``, with a ``ValueError`` it raises prefixed by the config ``entry``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{entry}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -237,7 +245,10 @@ class BenchmarkConfig:
                         f"budget {budget} exceeds 2^d for game {spec.game_id} (d={d})"
                     )
             dims.append(d)
-        built = [[m.frontier_for(d) for m in self.methods] for d in dims]
+        built = [
+            [_named(f"methods[{j}]", m.frontier_for, d) for j, m in enumerate(self.methods)]
+            for d in dims
+        ]
         shared = [[f if f is None else _FRONTIERS.setdefault(f, f) for f in row] for row in built]
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "frontiers", shared)
@@ -349,6 +360,8 @@ def _run_instance(args: tuple) -> tuple[list[RunRecord], list[FailedCell]]:
 
 
 def run_benchmark(config: BenchmarkConfig, jobs: int = 1) -> BenchmarkResult:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     work = []
     skipped: dict[tuple, SkippedCell] = {}
     for spec, d, frontiers in zip(config.games, config.dims, config.frontiers):
@@ -526,8 +539,9 @@ def _read(raw: Any, kind: Any, where: str) -> Any:
         if key not in raw and default is ...:
             raise ValueError(f"missing key {key!r} in {where}")
         value = raw.get(key, default)
-        values[name] = None if value is None and default is None else _read(value, sub, key)
-    return kind(**values)
+        path = key if kind is BenchmarkConfig else f"{where}.{key}"
+        values[name] = None if value is None and default is None else _read(value, sub, path)
+    return kind(**values) if kind is BenchmarkConfig else _named(where, kind, **values)
 
 
 def benchmark_config_from_dict(raw: dict[str, Any]) -> BenchmarkConfig:

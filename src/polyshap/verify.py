@@ -1,8 +1,9 @@
 """Numerical verification suites for the estimator's structural guarantees.
 
-Each suite runs a deterministic battery at desk scale and reports the worst
-observed deviation. These back the CLI ``verify`` subcommand and the
-acceptance tests, so the guarantees are exercised on every change.
+Each suite runs one fixed, deterministic battery at desk scale and reports
+the worst observed deviation. A suite takes no arguments: the CLI
+``verify`` subcommand and the tests run it the same way, so each battery
+is defined once, in its suite's body, and named in its docstring.
 """
 
 from __future__ import annotations
@@ -14,15 +15,10 @@ from typing import Callable
 import numpy as np
 
 from .coalitions import binomial
-from .estimators import (
-    kernelshap_from_batch,
-    polyshap,
-    polyshap_from_batch,
-    polyshap_to_sv,
-)
+from .estimators import kernelshap_from_batch, polyshap, polyshap_from_batch
 from .evaluation import bruteforce_shapley
 from .frontier import InteractionFrontier, empty_frontier, k_additive, percent_of_order
-from .games import Game, make_random_game
+from .games import Game, make_random_game, mobius_exact_shapley
 from .regression import build_design, constrained_lstsq, full_design_matrix
 from .sampling import SampleBatch, SamplerConfig, sample
 
@@ -47,133 +43,143 @@ class VerifyReport:
         )
 
 
+def _max_abs(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)))
+
+
 def _full_rank_paired_batches(
     trials: int, frontier: InteractionFrontier, budget: int, game_for: Callable[[int], Game]
-) -> tuple[list[SampleBatch], int, list[str]]:
+) -> tuple[list[tuple[Game, SampleBatch]], int, list[str]]:
     """Paired batches of ``game_for(a)`` at seed a = 0, 1, ... until ``trials`` have full rank.
 
     A batch whose design over ``frontier`` lacks full column rank is
     discarded. At most ``ATTEMPTS_PER_TRIAL * trials`` are drawn, so a budget
     that cannot reach full rank ends the search; the details then say so.
-    Returns the kept batches, the number discarded and the details.
+    Returns the kept (game, batch) pairs, the number discarded and the details.
     """
     limit = ATTEMPTS_PER_TRIAL * trials
-    kept: list[SampleBatch] = []
+    kept: list[tuple[Game, SampleBatch]] = []
     attempt = 0
     while len(kept) < trials and attempt < limit:
-        cfg = SamplerConfig(budget_m=budget, paired=True, seed=attempt)
-        batch = sample(cfg, game_for(attempt))
+        game = game_for(attempt)
+        batch = sample(SamplerConfig(budget_m=budget, paired=True, seed=attempt), game)
         attempt += 1
         if np.linalg.matrix_rank(build_design(batch, frontier).matrix) == frontier.n_columns:
-            kept.append(batch)
+            kept.append((game, batch))
     note = f"stopped after {limit} draws: {len(kept)} of {trials} designs had full rank"
     return kept, attempt - len(kept), [note] if len(kept) < trials else []
 
 
-def verify_consistency(
-    dims: tuple[int, ...] = (4, 6, 8, 10),
-    games_per_dim: int = 20,
-    tolerance: float = 1e-7,
-) -> VerifyReport:
-    """Full-budget runs recover the brute-force oracle for every frontier shape."""
-    worst = 0.0
-    trials = 0
-    details: list[str] = []
-    for d in dims:
-        n_terms = min(5 * d, sum(binomial(d, s) for s in range(1, min(3, d) + 1)))
-        for g_idx in range(games_per_dim):
-            game = make_random_game(d, min(3, d), n_terms, seed=1000 * d + g_idx)
-            truth = bruteforce_shapley(game).shapley
-            frontiers = [
-                empty_frontier(d),
-                k_additive(d, 2),
-                k_additive(d, 3),
-                percent_of_order(d, 3, 0.5, seed=g_idx),
-            ]
-            for frontier in frontiers:
-                cfg = SamplerConfig(budget_m=1 << d, paired=False, seed=g_idx)
-                result = polyshap(game, frontier, cfg)
-                dev = float(np.max(np.abs(result.shapley - truth)))
-                worst = max(worst, dev)
-                trials += 1
-        details.append(f"d={d}: worst so far {worst:.3e}")
-    return VerifyReport(
-        suite="consistency",
-        passed=worst < tolerance,
-        max_deviation=worst,
-        n_trials=trials,
-        details=details,
-    )
+def verify_consistency() -> VerifyReport:
+    """Full-budget runs recover the brute-force oracle for every frontier shape.
 
-
-def verify_paired_equivalence(
-    dims: tuple[int, ...] = (6, 8, 10),
-    trials_per_dim: int = 50,
-    tolerance: float = 1e-6,
-) -> VerifyReport:
-    """Paired batches: the empty-frontier solve equals the projected pairs-frontier solve.
-
-    Trials whose pairs-frontier design lacks full column rank are discarded
-    and resampled, as the equivalence is only guaranteed at full rank.
+    Battery: d in (4, 6, 8, 10), 20 games ``make_random_game(d, 3, n, seed=1000 d + g)``
+    per d, each fitted at budget 2^d over the empty, 2-additive, 3-additive and
+    half-of-order-3 frontiers: 320 trials, passing below 1e-7.
     """
     worst = 0.0
     trials = 0
+    details: list[str] = []
+    for d in (4, 6, 8, 10):
+        n_terms = min(5 * d, sum(binomial(d, s) for s in range(1, 4)))
+        for g_idx in range(20):
+            game = make_random_game(d, 3, n_terms, seed=1000 * d + g_idx)
+            truth = bruteforce_shapley(game).shapley
+            shapes = (empty_frontier(d), k_additive(d, 2), k_additive(d, 3))
+            for frontier in (*shapes, percent_of_order(d, 3, 0.5, seed=g_idx)):
+                cfg = SamplerConfig(budget_m=1 << d, paired=False, seed=g_idx)
+                worst = max(worst, _max_abs(polyshap(game, frontier, cfg).shapley, truth))
+                trials += 1
+        details.append(f"d={d}: worst so far {worst:.3e}")
+    return VerifyReport("consistency", worst < 1e-7, worst, trials, details=details)
+
+
+def _paired_suite(
+    suite: str,
+    tolerance: float,
+    trials: int,
+    batteries: list[tuple[InteractionFrontier, int, Callable[[int], Game]]],
+    deviation: Callable[[InteractionFrontier, Game, SampleBatch], float],
+) -> VerifyReport:
+    """Score ``trials`` full-rank paired draws of each ``(frontier, budget, game_for)`` battery.
+
+    Each kept draw is scored by ``deviation(frontier, game, batch)``. The
+    suite passes when every requested trial was kept and the worst
+    deviation is below ``tolerance``.
+    """
+    worst = 0.0
+    n_kept = 0
     discarded = 0
     details: list[str] = []
-    for d in dims:
-        pairs_frontier = k_additive(d, 2)
-        batches, dropped, notes = _full_rank_paired_batches(
-            trials_per_dim,
-            pairs_frontier,
-            2 * pairs_frontier.n_columns + 2,
-            lambda a: make_random_game(d, min(3, d), 4 * d, seed=7000 * d + a),
-        )
-        for batch in batches:
-            ksh = kernelshap_from_batch(batch)
-            rep2 = polyshap_from_batch(batch, pairs_frontier).representation
-            projected = polyshap_to_sv(rep2, pairs_frontier)
-            worst = max(worst, float(np.max(np.abs(ksh.shapley - projected))))
-        trials += len(batches)
+    for frontier, budget, game_for in batteries:
+        kept, dropped, notes = _full_rank_paired_batches(trials, frontier, budget, game_for)
+        for game, batch in kept:
+            worst = max(worst, deviation(frontier, game, batch))
+        n_kept += len(kept)
         discarded += dropped
         details.extend(notes)
-        details.append(f"d={d}: worst so far {worst:.3e}")
-    return VerifyReport(
-        suite="paired-equivalence",
-        passed=worst < tolerance and trials == trials_per_dim * len(dims),
-        max_deviation=worst,
-        n_trials=trials,
-        discarded=discarded,
-        details=details,
+        details.append(f"d={frontier.d}: worst so far {worst:.3e}")
+    passed = worst < tolerance and n_kept == trials * len(batteries)
+    return VerifyReport(suite, passed, worst, n_kept, discarded, details)
+
+
+def verify_paired_equivalence() -> VerifyReport:
+    """Paired batches: the empty-frontier solve equals the projected pairs-frontier solve.
+
+    Battery: d in (6, 8, 10), 50 full-rank trials per d on games
+    ``make_random_game(d, 3, 4d, seed=7000 d + a)`` with batch seed a, at the
+    paired budget 2 d' + 2 over ``k_additive(d, 2)``: 150 trials, passing below
+    1e-6. The equivalence holds at full rank only, so a draw whose pairs
+    design lacks full column rank is discarded and redrawn.
+    """
+
+    def battery(d: int) -> tuple[InteractionFrontier, int, Callable[[int], Game]]:
+        pairs = k_additive(d, 2)
+        return pairs, 2 * pairs.n_columns + 2, lambda a: make_random_game(d, 3, 4 * d, seed=7000 * d + a)
+
+    def deviation(pairs: InteractionFrontier, _: Game, batch: SampleBatch) -> float:
+        return _max_abs(kernelshap_from_batch(batch).shapley, polyshap_from_batch(batch, pairs).shapley)
+
+    return _paired_suite("paired-equivalence", 1e-6, 50, [battery(d) for d in (6, 8, 10)], deviation)
+
+
+def verify_degree2_recovery() -> VerifyReport:
+    """Paired KernelSHAP recovers the Shapley values of a degree-2 game exactly.
+
+    Battery: d = 8, 30 full-rank trials on games ``make_random_game(8, 2, 20,
+    seed=4000 + a)`` with batch seed a, at the paired budget 2 d' + 2 = 74 over
+    ``k_additive(8, 2)``; each estimate is compared with
+    ``mobius_exact_shapley``, passing below 1e-7. A draw whose pairs design
+    lacks full column rank is discarded and redrawn.
+    """
+    pairs = k_additive(8, 2)
+    return _paired_suite(
+        "degree2-recovery",
+        1e-7,
+        30,
+        [(pairs, 2 * pairs.n_columns + 2, lambda a: make_random_game(8, 2, 20, seed=4000 + a))],
+        lambda _, game, batch: _max_abs(kernelshap_from_batch(batch).shapley, mobius_exact_shapley(game)),
     )
 
 
-def verify_projection_lemma(
-    n_systems: int = 20,
-    n_rows: int = 100,
-    n_cols: int = 6,
-    n_cols_extended: int = 10,
-    tolerance: float = 1e-8,
-    seed: int = 42,
-) -> VerifyReport:
-    """Constrained fit against y equals the constrained fit against the extended fit of y."""
-    rng = np.random.default_rng(seed)
+def verify_projection_lemma() -> VerifyReport:
+    """Constrained fit against y equals the constrained fit against the extended fit of y.
+
+    Battery: 20 random systems (seed 42) of 100 rows, 6 columns extended by 4
+    more, passing below 1e-8.
+    """
+    rng = np.random.default_rng(42)
     worst = 0.0
-    for _ in range(n_systems):
-        x = rng.standard_normal((n_rows, n_cols))
-        extra = rng.standard_normal((n_rows, n_cols_extended - n_cols))
-        x_plus = np.hstack([x, extra])
-        y = rng.standard_normal(n_rows)
+    for _ in range(20):
+        x = rng.standard_normal((100, 6))
+        x_plus = np.hstack([x, rng.standard_normal((100, 4))])
+        y = rng.standard_normal(100)
         c = float(rng.standard_normal())
         direct = constrained_lstsq(x, y, c).coefficients
         beta_plus = constrained_lstsq(x_plus, y, c).coefficients
         via_extended = constrained_lstsq(x, x_plus @ beta_plus, c).coefficients
-        worst = max(worst, float(np.max(np.abs(direct - via_extended))))
-    return VerifyReport(
-        suite="projection-lemma",
-        passed=worst < tolerance,
-        max_deviation=worst,
-        n_trials=n_systems,
-    )
+        worst = max(worst, _max_abs(direct, via_extended))
+    return VerifyReport("projection-lemma", worst < 1e-8, worst, 20)
 
 
 def leverage_scores_bruteforce(
@@ -231,14 +237,15 @@ def leverage_scores_bruteforce(
     return per_size
 
 
-def verify_leverage_closed_form(
-    dims: tuple[int, ...] = (5, 6, 8),
-    tolerance: float = 1e-6,
-) -> VerifyReport:
-    """Empty-frontier leverage scores are proportional to inverse binomials per size."""
+def verify_leverage_closed_form() -> VerifyReport:
+    """Empty-frontier leverage scores are proportional to inverse binomials per size.
+
+    Battery: d in (5, 6, 8), by brute force over all 2^d rows, passing when the
+    relative deviation from proportionality stays below 1e-6.
+    """
     worst = 0.0
     details: list[str] = []
-    for d in dims:
+    for d in (5, 6, 8):
         scores = leverage_scores_bruteforce(d, empty_frontier(d))
         ratios = np.array([scores[s] * binomial(d, s) for s in range(1, d)])
         dev = float(np.max(np.abs(ratios - ratios.mean())) / ratios.mean())
@@ -246,48 +253,33 @@ def verify_leverage_closed_form(
         details.append(f"d={d}: proportionality deviation {dev:.3e}")
         if scores[0] != 0.0 or scores[d] != 0.0:
             worst = max(worst, abs(scores[0]), abs(scores[d]))
-    return VerifyReport(
-        suite="leverage-closed-form",
-        passed=worst < tolerance,
-        max_deviation=worst,
-        n_trials=len(dims),
-        details=details,
-    )
+    return VerifyReport("leverage-closed-form", worst < 1e-6, worst, 3, details=details)
 
 
-def verify_oddk_conjecture(
-    d: int = 8,
-    trials: int = 30,
-    budget: int = 220,
-) -> VerifyReport:
-    """Paired 3rd-order and 4th-order fits yield the same Shapley estimates, within 1e-9.
+def verify_oddk_conjecture() -> VerifyReport:
+    """Paired 3rd-order and 4th-order fits yield the same Shapley estimates.
 
-    Trials without a full-column-rank 4th-order design are discarded and
-    resampled.
+    Battery: d = 8, 30 full-rank trials on games ``make_random_game(8, 8, 48,
+    seed=9000 + a)`` with batch seed a, at paired budget 220, passing below
+    1e-9. A draw whose 4th-order design lacks full column rank is discarded
+    and redrawn.
     """
-    frontier3 = k_additive(d, 3)
-    frontier4 = k_additive(d, 4)
-    batches, discarded, details = _full_rank_paired_batches(
-        trials, frontier4, budget, lambda a: make_random_game(d, d, 6 * d, seed=9000 + a)
-    )
-    worst = 0.0
-    for batch in batches:
-        sv3 = polyshap_from_batch(batch, frontier3).shapley
-        sv4 = polyshap_from_batch(batch, frontier4).shapley
-        worst = max(worst, float(np.max(np.abs(sv3 - sv4))))
-    return VerifyReport(
-        suite="oddk-conjecture",
-        passed=worst < 1e-9 and len(batches) == trials,
-        max_deviation=worst,
-        n_trials=len(batches),
-        discarded=discarded,
-        details=details,
+    frontier3 = k_additive(8, 3)
+    return _paired_suite(
+        "oddk-conjecture",
+        1e-9,
+        30,
+        [(k_additive(8, 4), 220, lambda a: make_random_game(8, 8, 48, seed=9000 + a))],
+        lambda frontier4, _, batch: _max_abs(
+            polyshap_from_batch(batch, frontier3).shapley, polyshap_from_batch(batch, frontier4).shapley
+        ),
     )
 
 
 SUITES = {
     "consistency": verify_consistency,
     "paired-equivalence": verify_paired_equivalence,
+    "degree2-recovery": verify_degree2_recovery,
     "projection-lemma": verify_projection_lemma,
     "leverage-closed-form": verify_leverage_closed_form,
     "oddk-conjecture": verify_oddk_conjecture,

@@ -230,31 +230,38 @@ class TestBenchmarkCommand:
     @pytest.mark.parametrize(
         "change, message",
         [
-            (lambda raw: raw["methods"][0].update(paired="false"), "paired must be true or false, got 'false'"),
+            (lambda raw: raw["methods"][0].update(paired="false"),
+             "methods[0].paired must be true or false, got 'false'"),
             (lambda raw: raw["methods"][0].update(pairred=True), "unknown key 'pairred' in methods[0]"),
             (lambda raw: raw["games"][0].update(instance=2), "unknown key 'instance' in games[0]"),
             (lambda raw: raw.update(seed=3), "unknown key 'seed' in benchmark config"),
             (lambda raw: raw.update(k_for_precision=0), "k_for_precision must be >= 1, got 0"),
-            (lambda raw: raw["games"][0].update(instances=0), "game g needs instances >= 1, got 0"),
+            (lambda raw: raw["games"][0].update(instances=0), "games[0]: game g needs instances >= 1, got 0"),
             (lambda raw: raw["methods"][0].update(estimator="polyshap", frontier="banana"),
-             "bad frontier spec 'banana'"),
+             "methods[0]: bad frontier spec 'banana'"),
             (lambda raw: raw["methods"][0].update(estimator="polyshap", frontier="3@x"),
-             "bad frontier spec '3@x'"),
+             "methods[0]: bad frontier spec '3@x'"),
             (lambda raw: raw["methods"][0].update(estimator="polyshap", frontier="12"),
-             "k must be in [1, 5], got 12"),
-            (lambda raw: raw["methods"][0].update(frontier=5), "frontier must be a string, got 5"),
-            (lambda raw: raw["games"][0].update(path=0), "path must be a string, got 0"),
-            (lambda raw: raw["games"][0].update(d=6.9), "d must be an integer, got 6.9"),
+             "methods[0]: k must be in [1, 5], got 12"),
+            (lambda raw: raw["methods"][0].update(frontier=5), "methods[0].frontier must be a string, got 5"),
+            (lambda raw: raw["games"][0].update(path=0), "games[0].path must be a string, got 0"),
+            (lambda raw: raw["games"][0].update(d=6.9), "games[0].d must be an integer, got 6.9"),
             (lambda raw: raw.update(budgets=[40.7]), "budgets[0] must be an integer, got 40.7"),
             (lambda raw: raw.update(seeds=[True]), "seeds[0] must be an integer, got True"),
             (lambda raw: raw["methods"][0].update(estimator="permutation", paired=True, frontier="2"),
-             "permutation takes neither a frontier nor paired sampling"),
-            (lambda raw: raw["methods"][0].update(frontier="3"), "kernelshap has no interaction frontier"),
+             "methods[0]: permutation takes neither a frontier nor paired sampling"),
+            (lambda raw: raw["methods"][0].update(frontier="3"),
+             "methods[0]: kernelshap has no interaction frontier"),
+            (lambda raw: raw["games"].append(dict(raw["games"][0], id="h", d=6.5)),
+             "games[1].d must be an integer, got 6.5"),
+            (lambda raw: raw["methods"].append({"estimator": "polyshap", "frontier": "12"}),
+             "methods[1]: k must be in [1, 5], got 12"),
         ],
         ids=[
             "paired-string", "method-key", "game-key", "top-key", "k-zero", "no-instances",
             "frontier-word", "frontier-percent", "frontier-order", "frontier-number", "path-number",
             "d-float", "budget-float", "seed-bool", "permutation-frontier", "kernelshap-frontier",
+            "second-game-d-float", "second-method-frontier-order",
         ],
     )
     def test_bad_config_input_is_config_error(self, tmp_path, capsys, change, message):
@@ -271,6 +278,16 @@ class TestBenchmarkCommand:
         assert code == 2
         assert json.loads(capsys.readouterr().out) == {"error": {"type": "config", "message": message}}
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_config_error(self, tmp_path, capsys, jobs):
+        config = self.make_config(tmp_path)
+        out = tmp_path / "o.csv"
+        code = main(["benchmark", "--config", str(config), "--out", str(out), "--jobs", jobs])
+        assert code == 2
+        message = f"jobs must be >= 1, got {jobs}"
+        assert json.loads(capsys.readouterr().out) == {"error": {"type": "config", "message": message}}
+        assert not out.exists()
 
     def test_malformed_file_game_is_parse_error(self, tmp_path, capsys):
         game = tmp_path / "short.game"
@@ -333,6 +350,20 @@ class TestVerifyCommand:
         code = main(["verify", "leverage-closed-form"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_degree2_recovery_suite(self, capsys):
+        code = main(["verify", "degree2-recovery"])
+        assert code == 0
+        assert any(ln.startswith("PASS degree2-recovery") for ln in capsys.readouterr().out.splitlines())
+
+    def test_suites_take_no_arguments(self):
+        import inspect
+
+        from polyshap.verify import SUITES
+
+        assert {name: list(inspect.signature(suite).parameters) for name, suite in SUITES.items()} == {
+            name: [] for name in SUITES
+        }
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -332,6 +332,11 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             run_benchmark(tiny_config(budgets=[100]))
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            run_benchmark(tiny_config(), jobs=jobs)
+
     def test_empty_methods_rejected(self):
         with pytest.raises(ValueError):
             run_benchmark(tiny_config(methods=[]))
