@@ -30,7 +30,6 @@ from .frontier import (
     empty_frontier,
     k_additive,
     log_frontier,
-    partial,
     percent_of_order,
 )
 from .games import (

@@ -50,10 +50,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         return EXIT_IO
 
     try:
-        if args.order is not None and args.frontier is not None:
-            raise ValueError("--order and --frontier are mutually exclusive")
-        spec = args.frontier if args.order is None else str(args.order)
-        method = MethodSpec(args.method, spec, args.paired, args.seed)
+        method = MethodSpec(args.method, args.frontier, args.paired, args.seed)
         frontier = method.frontier_for(game.d)
         _echo(
             {
@@ -190,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["polyshap", "kernelshap", "permutation"],
         default="polyshap",
     )
-    explain.add_argument("--order", type=int, default=None, help="use the full frontier of this order")
     explain.add_argument("--frontier", default=None, help="frontier spec: K, K@PERCENT, or log")
     explain.add_argument("--budget", type=int, required=True, help="total game evaluations")
     explain.add_argument("--paired", action="store_true", help="sample coalitions in complement pairs")

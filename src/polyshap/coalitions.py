@@ -162,18 +162,15 @@ class FileFormatError(ValueError):
 Row = tuple[int, tuple[float, ...]]  # a coalition mask and its fields
 
 
-def read_rows(
-    path: str, n_fields: int, d: int | None = None
-) -> tuple[dict[str, str], int, list[Row]]:
+def read_rows(path: str, n_fields: int) -> tuple[dict[str, str], int, list[Row]]:
     """Parse a coalition text file into its header, its player count and its rows.
 
     Header lines are ``key=value``, with or without a leading ``#``, and
     come before the first row; other ``#`` lines, blank lines and the
-    ``bitstring,...`` column line are skipped. Each row is a bitstring and
-    ``n_fields`` finite floats. The player count is the header's ``d``, which
-    must agree with the ``d`` given; without a header it is the ``d``
-    given, else the length of the first bitstring. Every malformed line,
-    a repeated coalition included, raises ``FileFormatError``.
+    ``bitstring,...`` column line are skipped. The header must give the
+    player count ``d``. Each row is a ``d``-bit bitstring and ``n_fields``
+    finite floats. Every malformed line, a repeated coalition included, and
+    a missing ``d`` header raise ``FileFormatError``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -183,6 +180,7 @@ def read_rows(
     header: dict[str, str] = {}
     rows: list[Row] = []
     seen: set[int] = set()
+    d = None
     for line, text in enumerate((raw.strip() for raw in lines), 1):
         key, eq, value = (part.strip() for part in text.lstrip("#").partition("="))
         if eq and key.isidentifier():
@@ -191,20 +189,18 @@ def read_rows(
             header[key] = value
             if key == "d":
                 try:
-                    header_d = int(value)
-                    _check_d(header_d)
+                    d = int(value)
+                    _check_d(d)
                 except ValueError as exc:
                     raise FileFormatError(path, f"bad header {text!r}: {exc}", line) from None
-                if d is not None and header_d != d:
-                    raise FileFormatError(path, f"header {text!r} disagrees with d={d}", line)
-                d = header_d
             continue
         if not text or text.startswith(("#", "bitstring")):
             continue
+        if d is None:
+            break  # a row before any 'd=' header
         bits, *raw_fields = (part.strip() for part in text.split(","))
         if len(raw_fields) != n_fields:
             raise FileFormatError(path, f"expected {1 + n_fields} comma-separated values", line)
-        d = len(bits) if d is None else d
         if len(bits) != d:
             message = f"bitstring {bits!r} has {len(bits)} players, expected d={d}"
             raise FileFormatError(path, message, line)
@@ -220,7 +216,7 @@ def read_rows(
         seen.add(mask)
         rows.append((mask, fields))
     if d is None:
-        raise FileFormatError(path, "no player count: no 'd=' header, no rows and no d given")
+        raise FileFormatError(path, "expected header 'd=<int>' before the rows")
     return header, d, rows
 
 

@@ -119,13 +119,17 @@ def spearman(estimate: Sequence[float], truth: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _check_type(value: Any, kind: type, name: str) -> None:
+    """A ``ValueError`` naming ``name`` unless ``value`` is a ``kind``; a bool is
+    not an int here, as in a JSON config."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{name} must be {_JSON_NAMES[kind]}, got {value!r}")
+
+
 def _check_types(spec: Any, kind: type, *names: str) -> None:
-    """A ``ValueError`` naming the first of ``spec``'s fields ``names`` that is not a
-    ``kind``; a bool is not an int here, as in a JSON config."""
+    """``_check_type`` on each of ``spec``'s fields ``names``, in order."""
     for name in names:
-        value = getattr(spec, name)
-        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-            raise ValueError(f"{name} must be {_JSON_NAMES[kind]}, got {value!r}")
+        _check_type(getattr(spec, name), kind, name)
 
 
 def _named(entry: str, build: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
@@ -231,6 +235,10 @@ class BenchmarkConfig:
         for name in ("games", "methods", "budgets", "seeds"):
             if not getattr(self, name):
                 raise ValueError(f"benchmark config needs at least one {name[:-1]}")
+        for name, kind in (("budgets", int), ("seeds", int), ("metrics", str)):
+            for i, value in enumerate(getattr(self, name)):
+                _check_type(value, kind, f"{name}[{i}]")
+        _check_types(self, int, "k_for_precision")
         for metric in self.metrics:
             if metric not in METRIC_NAMES:
                 raise ValueError(f"unknown metric {metric!r}")

@@ -124,24 +124,6 @@ def k_additive(d: int, k: int) -> InteractionFrontier:
     return _build(d, k, 0, 0, f"k={k}")
 
 
-def partial(d: int, ell: int, seed: int) -> InteractionFrontier:
-    """Frontier with exactly ell terms: the largest complete order block, topped up randomly.
-
-    Covers the full k-additive frontier for the largest k whose term count
-    fits within ell, then adds uniformly chosen terms of the next order.
-    """
-    _check_d(d)
-    max_ell = (1 << d) - d - 2
-    if not 0 <= ell <= max_ell:
-        raise ValueError(f"ell must be in [0, {max_ell}] for d={d}, got {ell}")
-    covered = 0
-    k = 1
-    while k < d and covered + binomial(d, k + 1) <= ell:
-        covered += binomial(d, k + 1)
-        k += 1
-    return _build(d, k, ell - covered, seed, f"partial:{ell}")
-
-
 def percent_of_order(d: int, k: int, fraction: float, seed: int) -> InteractionFrontier:
     """Full (k-1)-additive frontier plus floor(fraction * C(d, k)) random size-k terms."""
     _check_d(d)
@@ -170,13 +152,9 @@ def save_frontier(frontier: InteractionFrontier, path: str) -> None:
     write_rows(path, [f"d={frontier.d}"], frontier.d, ((t, ()) for t in frontier.terms))
 
 
-def load_frontier(path: str, d: int | None = None) -> InteractionFrontier:
-    """Read a frontier file; a ``d`` given must match its ``d=`` header.
-
-    A headerless file, as written before the header existed, still loads:
-    ``d`` is then the one given, else the length of its first bitstring.
-    """
-    _, d, rows = read_rows(path, 0, d)
+def load_frontier(path: str) -> InteractionFrontier:
+    """Read a frontier file as ``save_frontier`` writes it."""
+    _, d, rows = read_rows(path, 0)
     terms = sorted({mask for mask, _ in rows}, key=lambda m: (m.bit_count(), m))
     try:
         return InteractionFrontier(d, tuple(terms), "custom")
@@ -196,6 +174,8 @@ def parse_frontier_spec(spec: str, d: int, seed: int = 0) -> InteractionFrontier
             pct = float(right)
         except ValueError as exc:
             raise ValueError(f"bad frontier spec {spec!r}") from exc
+        if not 0.0 <= pct <= 100.0:
+            raise ValueError(f"percent must be in [0, 100], got {right.strip()}")
         return percent_of_order(d, k, pct / 100.0, seed)
     try:
         k = int(spec)

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .coalitions import Coalition, FileFormatError, binomial, bitstring, fold, membership
+from .coalitions import Coalition, binomial, bitstring, fold, membership
 from .coalitions import _check_d, read_rows, write_rows
 
 
@@ -164,9 +164,7 @@ class LookupGame(Game):
 
 
 def _read_game(path: str) -> tuple[int, dict[int, float]]:
-    header, d, rows = read_rows(path, 1)
-    if "d" not in header:
-        raise FileFormatError(path, "expected header 'd=<int>' before the rows")
+    _, d, rows = read_rows(path, 1)
     return d, {mask: value for mask, (value,) in rows}
 
 

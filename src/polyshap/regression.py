@@ -49,7 +49,6 @@ class DesignSystem:
     matrix: np.ndarray
     target: np.ndarray
     constraint_value: float
-    d: int
 
 
 @dataclass
@@ -86,7 +85,6 @@ def build_design(batch, frontier: InteractionFrontier) -> DesignSystem:
         matrix=matrix,
         target=target,
         constraint_value=batch.nu_full - batch.nu_empty,
-        d=batch.d,
     )
 
 

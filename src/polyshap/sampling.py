@@ -73,6 +73,9 @@ class SampleBatch:
             raise ValueError(
                 f"mask {bad} is not a proper nonempty coalition of d={self.d} players"
             )
+        if not all(0 < s < self.d for s in self.enumerated_sizes):
+            sizes = sorted(self.enumerated_sizes)
+            raise ValueError(f"enumerated sizes must be in 1..{self.d - 1}, got {sizes}")
         w = np.asarray(self.weights, dtype=float)
         if len(w) and not (np.isfinite(w).all() and (w > 0).all()):
             raise ValueError("row weights must be strictly positive and finite")
@@ -199,19 +202,17 @@ def save_batch(batch: SampleBatch, path: str) -> None:
 
 
 def load_batch(path: str) -> SampleBatch:
-    header, _, rows = read_rows(path, 2)
+    header, d, rows = read_rows(path, 2)
     try:
         return SampleBatch(
-            d=int(header["d"]),
+            d=d,
             masks=[mask for mask, _ in rows],
             weights=np.array([w for _, (w, _) in rows]),
             values=np.array([v for _, (_, v) in rows]),
             nu_empty=float(header["nu_empty"]),
             nu_full=float(header["nu_full"]),
-            enumerated_sizes=frozenset(
-                int(s) for s in header.get("enumerated_sizes", "").split(",") if s
-            ),
-            odd_unpaired=bool(int(header.get("odd_unpaired", "0"))),
+            enumerated_sizes=frozenset(int(s) for s in header["enumerated_sizes"].split(",") if s),
+            odd_unpaired=bool(int(header["odd_unpaired"])),
         )
     except KeyError as exc:
         raise FileFormatError(path, f"missing header {exc}") from None

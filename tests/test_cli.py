@@ -42,7 +42,7 @@ class TestExplain:
         save_mobius_game(g, str(path))
 
         code = main(
-            ["explain", "--game", str(path), "--method", "polyshap", "--order", "1",
+            ["explain", "--game", str(path), "--method", "polyshap", "--frontier", "1",
              "--budget", "100", "--paired", "--seed", "4"]
         )
         paired_out = json.loads(capsys.readouterr().out)
@@ -50,7 +50,7 @@ class TestExplain:
         paired_err = np.max(np.abs(np.array(paired_out["shapley"]) - truth))
 
         code = main(
-            ["explain", "--game", str(path), "--method", "polyshap", "--order", "1",
+            ["explain", "--game", str(path), "--method", "polyshap", "--frontier", "1",
              "--budget", "100", "--seed", "4"]
         )
         std_out = json.loads(capsys.readouterr().out)
@@ -98,23 +98,6 @@ class TestExplain:
         code = main(["explain", "--game", path, "--budget", "3"])
         assert code == 2
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "config"
-
-    def test_order_and_frontier_conflict(self, lookup_game_file, capsys):
-        path, _ = lookup_game_file
-        code = main(
-            ["explain", "--game", path, "--order", "2", "--frontier", "log", "--budget", "16"]
-        )
-        assert code == 2
-
-    def test_order_is_the_plain_frontier_spec(self, lookup_game_file, capsys):
-        path, _ = lookup_game_file
-        common = ["explain", "--game", path, "--budget", "14", "--paired", "--seed", "2"]
-        outputs = []
-        for flags in (["--order", "2"], ["--frontier", "2"]):
-            assert main(common + flags) == 0
-            outputs.append(capsys.readouterr())
-        assert outputs[0].out == outputs[1].out
-        assert outputs[0].err == outputs[1].err
 
     def test_config_echo_on_stderr(self, lookup_game_file, capsys):
         path, _ = lookup_game_file
@@ -243,6 +226,10 @@ class TestBenchmarkCommand:
              "methods[0]: bad frontier spec '3@x'"),
             (lambda raw: raw["methods"][0].update(estimator="polyshap", frontier="12"),
              "methods[0]: k must be in [1, 5], got 12"),
+            (lambda raw: raw["methods"][0].update(estimator="polyshap", frontier="3@150"),
+             "methods[0]: percent must be in [0, 100], got 150"),
+            (lambda raw: raw["methods"][0].update(estimator="polyshap", frontier="3@-1"),
+             "methods[0]: percent must be in [0, 100], got -1"),
             (lambda raw: raw["methods"][0].update(frontier=5), "methods[0].frontier must be a string, got 5"),
             (lambda raw: raw["games"][0].update(path=0), "games[0].path must be a string, got 0"),
             (lambda raw: raw["games"][0].update(d=6.9), "games[0].d must be an integer, got 6.9"),
@@ -259,7 +246,8 @@ class TestBenchmarkCommand:
         ],
         ids=[
             "paired-string", "method-key", "game-key", "top-key", "k-zero", "no-instances",
-            "frontier-word", "frontier-percent", "frontier-order", "frontier-number", "path-number",
+            "frontier-word", "frontier-percent", "frontier-order", "percent-above", "percent-below",
+            "frontier-number", "path-number",
             "d-float", "budget-float", "seed-bool", "permutation-frontier", "kernelshap-frontier",
             "second-game-d-float", "second-method-frontier-order",
         ],

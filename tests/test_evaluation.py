@@ -474,6 +474,23 @@ class TestConfigParsing:
         assert type(raised.value) is ValueError
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"budgets": [20.5]}, "budgets[0] must be an integer, got 20.5"),
+            ({"seeds": ["0"]}, "seeds[0] must be an integer, got '0'"),
+            ({"budgets": [True]}, "budgets[0] must be an integer, got True"),
+            ({"k_for_precision": 2.5}, "k_for_precision must be an integer, got 2.5"),
+            ({"budgets": [20, "20"]}, "budgets[1] must be an integer, got '20'"),
+        ],
+        ids=["budget-float", "seed-string", "budget-bool", "k-float", "budget-string"],
+    )
+    def test_config_built_in_python_rejects_wrong_type(self, overrides, message):
+        with pytest.raises(ValueError) as raised:
+            tiny_config(**overrides)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == message
+
     def test_replace_validates_again(self):
         config = tiny_config(budgets=[20])
         smaller = [replace(config.games[0], d=5)]

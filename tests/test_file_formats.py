@@ -27,6 +27,7 @@ class Format:
     resave: Callable[[object, str], None]  # writes a loaded object back
     n_fields: int
     required_header: tuple[str, ...]  # prefixes of the header lines the loader needs
+    bad_header: tuple[str, ...] = ()  # header lines the loader must reject, each replacing its key's line
 
 
 def _write_batch(path, seed):
@@ -51,14 +52,22 @@ FORMATS = {
         1,
         ("d=",),
     ),
-    "batch": Format(".csv", _write_batch, load_batch, save_batch, 2, ("# d=", "# nu_empty=", "# nu_full=")),
+    "batch": Format(
+        ".csv",
+        _write_batch,
+        load_batch,
+        save_batch,
+        2,
+        ("# d=", "# nu_empty=", "# nu_full=", "# enumerated_sizes=", "# odd_unpaired="),
+        ("# enumerated_sizes=0,99", "# enumerated_sizes=6", "# enumerated_sizes=-1,2"),
+    ),
     "frontier": Format(
         ".txt",
         lambda path, seed: save_frontier(percent_of_order(6, 3, 0.5, seed=seed), path),
         load_frontier,
         save_frontier,
         0,
-        (),
+        ("d=",),
     ),
 }
 
@@ -70,10 +79,12 @@ MUTATIONS = [
     (name, kind)
     for name, fmt in FORMATS.items()
     for kind in (
-        "drop_field", "length", "character", "non_numeric", "non_finite", "drop_header", "duplicate"
+        "drop_field", "length", "character", "non_numeric", "non_finite", "drop_header", "duplicate",
+        "bad_header",
     )
     if (kind not in ("drop_field", "non_finite") or fmt.n_fields)
     and (kind != "drop_header" or fmt.required_header)
+    and (kind != "bad_header" or fmt.bad_header)
 ]
 
 
@@ -113,6 +124,11 @@ def mutate(lines, rows, kind, data, fmt):
         prefix = data.draw(st.sampled_from(fmt.required_header))
         lines[:] = [ln for ln in lines if not ln.startswith(prefix)]
         return None
+    elif kind == "bad_header":
+        bad = data.draw(st.sampled_from(fmt.bad_header))
+        key = bad.partition("=")[0] + "="
+        lines[:] = [bad if ln.startswith(key) else ln for ln in lines]
+        return None
     elif kind == "duplicate":
         lines.insert(i + 1, lines[i])
         return i + 2
@@ -138,6 +154,17 @@ class TestMutatedFilesRaiseNamedErrors:
         where = path if expected_line is None else f"{path}:{expected_line}"
         assert str(err.value).startswith(where + ": ")
 
+    @pytest.mark.parametrize("name", sorted(FORMATS))
+    def test_every_required_header_line_is_required(self, valid_text, tmp_path, name):
+        fmt = FORMATS[name]
+        path = str(tmp_path / f"dropped{fmt.suffix}")
+        for prefix in fmt.required_header:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(ln + "\n" for ln in valid_text[name].splitlines() if not ln.startswith(prefix))
+            with pytest.raises(FileFormatError) as err:
+                fmt.load(path)
+            assert err.value.line is None, prefix
+
     def test_unreadable_file(self, tmp_path):
         path = str(tmp_path / "missing.game")
         with pytest.raises(FileFormatError, match="missing.game: cannot read file"):
@@ -146,7 +173,7 @@ class TestMutatedFilesRaiseNamedErrors:
     def test_headerless_empty_file_needs_d(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
-        with pytest.raises(FileFormatError, match="no player count"):
+        with pytest.raises(FileFormatError, match="empty.txt: expected header 'd=<int>' before the rows"):
             load_frontier(str(path))
 
     def test_header_after_rows(self, tmp_path):
@@ -157,7 +184,7 @@ class TestMutatedFilesRaiseNamedErrors:
 
     def test_singleton_frontier_term_names_file(self, tmp_path):
         path = tmp_path / "single.txt"
-        path.write_text("1100\n0100\n")
+        path.write_text("d=4\n1100\n0100\n")
         with pytest.raises(FileFormatError, match="single.txt: interaction terms must have size >= 2"):
             load_frontier(str(path))
 
@@ -174,19 +201,6 @@ class TestFrontierHeader:
         path.write_text("d=4\n110\n")
         with pytest.raises(FileFormatError, match="one.txt:2: bitstring '110' has 3 players, expected d=4"):
             load_frontier(str(path))
-
-    def test_header_disagreeing_with_given_d_raises(self, tmp_path):
-        path = self.one_row_file(tmp_path)
-        with pytest.raises(FileFormatError, match="one.txt:1: header 'd=4' disagrees with d=5"):
-            load_frontier(str(path), d=5)
-        assert load_frontier(str(path), d=4).terms == (0b0011,)
-
-    def test_headerless_legacy_file_loads(self, tmp_path):
-        path = tmp_path / "legacy.txt"
-        path.write_text("1100\n0110\n")
-        for d in (None, 4):
-            frontier = load_frontier(str(path), d)
-            assert (frontier.d, frontier.terms) == (4, (0b0011, 0b0110))
 
 
 class TestRoundTrip:

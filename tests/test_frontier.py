@@ -14,7 +14,6 @@ from polyshap.frontier import (
     load_frontier,
     log_frontier,
     parse_frontier_spec,
-    partial,
     percent_of_order,
     save_frontier,
 )
@@ -60,35 +59,6 @@ class TestKAdditive:
 
     def test_well_formed(self):
         assert_well_formed(k_additive(6, 4))
-
-
-class TestPartial:
-    def test_exact_pair_boundary(self):
-        f = partial(10, 45, seed=0)
-        assert set(f.terms) == set(k_additive(10, 2).terms)
-
-    def test_pairs_plus_five_triples(self):
-        f = partial(10, 50, seed=3)
-        sizes = [t.bit_count() for t in f.terms]
-        assert sizes.count(2) == 45
-        assert sizes.count(3) == 5
-        again = partial(10, 50, seed=3)
-        assert list(f.terms) == list(again.terms)
-
-    def test_zero_is_empty(self):
-        assert len(partial(10, 0, seed=0)) == 0
-
-    def test_different_seed_differs(self):
-        a = partial(10, 50, seed=1)
-        b = partial(10, 50, seed=2)
-        assert list(a.terms) != list(b.terms)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            partial(4, (1 << 4) - 4 - 1, seed=0)
-
-    def test_well_formed(self):
-        assert_well_formed(partial(8, 40, seed=5))
 
 
 class TestPercentOfOrder:
@@ -160,8 +130,7 @@ class TestFrontierType:
     def test_k_additive_always_well_formed(self, d, k, seed):
         k = min(k, d)
         assert_well_formed(k_additive(d, k))
-        ell = min(10, (1 << d) - d - 2)
-        assert_well_formed(partial(d, ell, seed=seed))
+        assert_well_formed(percent_of_order(d, k, 0.5, seed=seed))
 
     def test_membership_is_built_once_and_read_only(self):
         frontier = log_frontier(12, seed=3)
@@ -188,8 +157,8 @@ class TestSerialization:
     def test_empty_needs_d(self, tmp_path):
         path = tmp_path / "empty.txt"
         save_frontier(empty_frontier(5), str(path))
-        loaded = load_frontier(str(path), d=5)
-        assert len(loaded) == 0
+        loaded = load_frontier(str(path))
+        assert (loaded.d, len(loaded)) == (5, 0)
 
 
 class TestParseSpec:
@@ -218,7 +187,7 @@ class TestParseSpec:
         assert set(parse_frontier_spec("3@100", 10, seed=2).terms) == set(k_additive(10, 3).terms)
 
 
-# The four builders and the per-item reservoir as they were before the
+# The three builders and the per-item reservoir as they were before the
 # families shared one builder: the reference the shared builder must equal.
 
 
@@ -254,21 +223,6 @@ def reference_k_additive(d, k):
     return _reference_sorted(d, _reference_full(d, k), f"k={k}")
 
 
-def reference_partial(d, ell, seed):
-    max_ell = (1 << d) - d - 2
-    if not 0 <= ell <= max_ell:
-        raise ValueError(f"ell must be in [0, {max_ell}] for d={d}, got {ell}")
-    covered, k = 0, 1
-    while k < d:
-        block = binomial(d, k + 1)
-        if covered + block > ell:
-            break
-        covered += block
-        k += 1
-    masks = _reference_full(d, k) + _reference_draw(d, k + 1, ell - covered, seed)
-    return _reference_sorted(d, masks, f"partial:{ell}")
-
-
 def reference_percent_of_order(d, k, fraction, seed):
     if k < 2 or k > d:
         raise ValueError(f"k must be in [2, {d}], got {k}")
@@ -287,15 +241,11 @@ def reference_log_frontier(d, seed):
 
 
 def family_calls(d, seed):
-    """(name, args) for every family at d: full blocks, block edges, partial top-ups."""
-    pairs, triples = binomial(d, 2), binomial(d, 3)
+    """(name, args) for every family at d: full blocks, one term off a block edge, top-ups."""
     calls = [("k_additive", (d, k)) for k in sorted({1, 2, 3, d}) if d <= 8 or k <= 3]
-    for ell in sorted({0, 1, pairs - 1, pairs, pairs + 1, pairs + triples // 3}):
-        calls.append(("partial", (d, ell, seed)))
-    if d <= 8:
-        calls.append(("partial", (d, (1 << d) - d - 2, seed)))
     for k in (2, 3):
-        for fraction in (0.0, 0.01, 0.37, 0.5, 1.0):
+        edge = 1 / binomial(d, k)
+        for fraction in (0.0, edge, 0.01, 0.37, 0.5, 1.0 - edge, 1.0):
             calls.append(("percent_of_order", (d, k, fraction, seed)))
     calls.append(("log_frontier", (d, seed)))
     return calls
@@ -303,7 +253,6 @@ def family_calls(d, seed):
 
 BUILDERS = {
     "k_additive": (k_additive, reference_k_additive),
-    "partial": (partial, reference_partial),
     "percent_of_order": (percent_of_order, reference_percent_of_order),
     "log_frontier": (log_frontier, reference_log_frontier),
 }
@@ -331,8 +280,8 @@ class TestOneBuilder:
         [
             ("k_additive", (5, 0)),
             ("k_additive", (5, 6)),
-            ("partial", (4, -1, 0)),
-            ("partial", (4, 11, 0)),
+            ("percent_of_order", (6, 3, float("nan"), 0)),
+            ("percent_of_order", (3, 4, 0.5, 0)),
             ("percent_of_order", (6, 1, 0.5, 0)),
             ("percent_of_order", (6, 7, 0.5, 0)),
             ("percent_of_order", (6, 3, 1.5, 0)),

@@ -13,14 +13,14 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polyshap.coalitions import binomial, fold, membership
+from polyshap.coalitions import fold, membership
 from polyshap.estimators import polyshap_from_batch
-from polyshap.frontier import k_additive, log_frontier, partial, percent_of_order
+from polyshap.frontier import k_additive, log_frontier, percent_of_order
 from polyshap.games import make_random_game
 from polyshap.regression import constrained_lstsq
 from polyshap.sampling import SamplerConfig, sample
 
-FAMILIES = ("k_additive", "partial", "percent_of_order", "log_frontier")
+FAMILIES = ("k_additive", "percent_of_order", "log_frontier")
 
 
 @st.composite
@@ -29,8 +29,6 @@ def built_in_frontiers(draw, d):
     seed = draw(st.integers(0, 1000))
     if family == "k_additive":
         return k_additive(d, draw(st.integers(1, 3)))
-    if family == "partial":
-        return partial(d, draw(st.integers(0, binomial(d, 2) + binomial(d, 3))), seed)
     if family == "percent_of_order":
         k = draw(st.integers(2, 3))
         return percent_of_order(d, k, draw(st.floats(0.0, 1.0)), seed)

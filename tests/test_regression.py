@@ -267,7 +267,7 @@ class TestGramSolve:
         rng = np.random.default_rng(0)
         m, n_cols = 4000, 200
         matrix, target = weighted_design(rng, m, n_cols, rng.uniform(0.1, 2.0, m))
-        system = DesignSystem(matrix, target, 1.5, n_cols)
+        system = DesignSystem(matrix, target, 1.5)
         tracemalloc.start()
         try:
             report = solve_constrained(system)
