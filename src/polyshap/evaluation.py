@@ -16,16 +16,17 @@ import os
 import warnings
 import weakref
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import cache
 from multiprocessing import get_context
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .coalitions import binomial
 from .estimators import AttributionResult, permutation_baseline, polyshap
 from .frontier import InteractionFrontier, empty_frontier, parse_frontier_spec
-from .games import Game, MobiusGame, load_game, make_random_game, mobius_exact_shapley
+from .games import Game, MobiusGame, check_random_game, load_game, make_random_game, mobius_exact_shapley
 from .sampling import SamplerConfig
 
 METRIC_NAMES = ("mse", "precision_at_k", "spearman")
@@ -119,17 +120,30 @@ def spearman(estimate: Sequence[float], truth: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_type(value: Any, kind: type, name: str) -> None:
-    """A ``ValueError`` naming ``name`` unless ``value`` is a ``kind``; a bool is
-    not an int here, as in a JSON config."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ValueError(f"{name} must be {_JSON_NAMES[kind]}, got {value!r}")
+_JSON_NAMES = {bool: "true or false", int: "an integer", str: "a string", list: "a list", dict: "an object"}
+_hints = cache(get_type_hints)  # each spec class's annotations, evaluated once
 
 
-def _check_types(spec: Any, kind: type, *names: str) -> None:
-    """``_check_type`` on each of ``spec``'s fields ``names``, in order."""
-    for name in names:
-        _check_type(getattr(spec, name), kind, name)
+def _check(value: Any, hint: Any, name: str) -> None:
+    """A ``ValueError`` naming ``name`` unless ``value`` is a ``hint``: a class, ``X | None``
+    or ``list[X]``; a bool is not an int here, as in a JSON config."""
+    if get_origin(hint) is list:
+        _check(value, list, name)
+        for i, item in enumerate(value):
+            _check(item, get_args(hint)[0], f"{name}[{i}]")
+        return
+    kinds = get_args(hint) or (hint,)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        kind = _JSON_NAMES.get(kinds[0], f"a {kinds[0].__name__}")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def _check_fields(spec: Any) -> None:
+    """``_check`` on each of ``spec``'s init fields against its annotation, in order."""
+    hints = _hints(type(spec))
+    for f in fields(spec):
+        if f.init:
+            _check(getattr(spec, f.name), hints[f.name], f.name)
 
 
 def _named(entry: str, build: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
@@ -144,8 +158,8 @@ def _named(entry: str, build: Callable[..., Any], *args: Any, **kwargs: Any) -> 
 class GameSpec:
     """Either a seeded family of random coefficient games or a game file."""
 
-    game_id: str
-    kind: str  # "random" | "file"
+    game_id: str = field(metadata={"key": "id"})
+    kind: str = field(metadata={"key": "type"})  # "random" | "file"
     d: int = 0
     max_order: int = 0
     n_terms: int = 0
@@ -154,12 +168,13 @@ class GameSpec:
     path: str = ""
 
     def __post_init__(self) -> None:
-        _check_types(self, str, "game_id", "kind", "path")
-        _check_types(self, int, "d", "max_order", "n_terms", "seed", "instances")
+        _check_fields(self)
         if self.kind not in ("random", "file"):
             raise ValueError(f"unknown game kind {self.kind!r}")
         if self.instances < 1:
             raise ValueError(f"game {self.game_id} needs instances >= 1, got {self.instances}")
+        if self.kind == "random":
+            check_random_game(self.d, self.max_order, self.n_terms)
 
     def build(self, instance: int) -> Game:
         if self.kind == "random":
@@ -170,19 +185,14 @@ class GameSpec:
 @dataclass(frozen=True)
 class MethodSpec:
     estimator: str  # "polyshap" | "kernelshap" | "permutation"
-    frontier_spec: str | None = None
+    frontier_spec: str | None = field(default=None, metadata={"key": "frontier"})
     paired: bool = False
     frontier_seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_types(self, str, "estimator")
-        if self.frontier_spec is not None:
-            _check_types(self, str, "frontier_spec")
-        _check_types(self, int, "frontier_seed")
+        _check_fields(self)
         if self.estimator not in ("polyshap", "kernelshap", "permutation"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        if not isinstance(self.paired, bool):
-            raise ValueError(f"paired must be true or false, got {self.paired!r}")
         if self.estimator == "permutation" and (self.frontier_spec is not None or self.paired):
             raise ValueError("permutation takes neither a frontier nor paired sampling")
         if self.estimator == "kernelshap" and self.frontier_spec not in (None, "1"):
@@ -232,13 +242,10 @@ class BenchmarkConfig:
 
     def __post_init__(self) -> None:
         """Check the config; set ``dims`` and ``frontiers``."""
+        _check_fields(self)
         for name in ("games", "methods", "budgets", "seeds"):
             if not getattr(self, name):
                 raise ValueError(f"benchmark config needs at least one {name[:-1]}")
-        for name, kind in (("budgets", int), ("seeds", int), ("metrics", str)):
-            for i, value in enumerate(getattr(self, name)):
-                _check_type(value, kind, f"{name}[{i}]")
-        _check_types(self, int, "k_for_precision")
         for metric in self.metrics:
             if metric not in METRIC_NAMES:
                 raise ValueError(f"unknown metric {metric!r}")
@@ -498,58 +505,31 @@ def plot_data(result: BenchmarkResult) -> dict[str, Any]:
     }
 
 
-# Each JSON object of a config: JSON key -> (field, JSON type, default), where
-# [type] is a list of that type, a spec class a nested object and ... required.
-_TABLES: dict[type, dict[str, tuple[str, Any, Any]]] = {
-    BenchmarkConfig: {
-        "games": ("games", [GameSpec], ...),
-        "methods": ("methods", [MethodSpec], ...),
-        "budgets": ("budgets", [int], ...),
-        "seeds": ("seeds", [int], ...),
-        "metrics": ("metrics", [str], list(METRIC_NAMES)),
-        "k_for_precision": ("k_for_precision", int, 5),
-    },
-    GameSpec: {
-        "id": ("game_id", str, ...),
-        "type": ("kind", str, ...),
-        "d": ("d", int, 0),
-        "max_order": ("max_order", int, 0),
-        "n_terms": ("n_terms", int, 0),
-        "seed": ("seed", int, 0),
-        "instances": ("instances", int, 1),
-        "path": ("path", str, ""),
-    },
-    MethodSpec: {
-        "estimator": ("estimator", str, ...),
-        "frontier": ("frontier_spec", str, None),
-        "paired": ("paired", bool, False),
-        "frontier_seed": ("frontier_seed", int, 0),
-    },
-}
-_JSON_NAMES = {bool: "true or false", int: "an integer", str: "a string", list: "a list", dict: "an object"}
-
-
-def _read(raw: Any, kind: Any, where: str) -> Any:
-    """``raw`` as ``kind``; an unknown or missing key or a wrong JSON type (a bool or a
-    float is not an integer) is a ``ValueError`` that names it."""
-    json_type = list if isinstance(kind, list) else dict if kind in _TABLES else kind
-    if type(raw) is not json_type:
-        raise ValueError(f"{where} must be {_JSON_NAMES[json_type]}, got {raw!r}")
-    if json_type is list:
-        return [_read(item, kind[0], f"{where}[{i}]") for i, item in enumerate(raw)]
-    if json_type is not dict:
+def _read(raw: Any, hint: Any, where: str) -> Any:
+    """``raw`` as ``hint``: a spec from a JSON object keyed by its init fields' names (or
+    their ``metadata["key"]``), a list item by item, else a value ``_check`` accepts. An
+    unknown key, a missing key of a field without a default or a wrong JSON type is a
+    ``ValueError`` that names it."""
+    if get_origin(hint) is list:
+        _check(raw, list, where)
+        return [_read(item, get_args(hint)[0], f"{where}[{i}]") for i, item in enumerate(raw)]
+    if not is_dataclass(hint):
+        _check(raw, hint, where)
         return raw
+    _check(raw, dict, where)
+    keys = {f.metadata.get("key", f.name): f for f in fields(hint) if f.init}
     for key in raw:
-        if key not in _TABLES[kind]:
+        if key not in keys:
             raise ValueError(f"unknown key {key!r} in {where}")
+    hints = _hints(hint)
     values = {}
-    for key, (name, sub, default) in _TABLES[kind].items():
-        if key not in raw and default is ...:
+    for key, f in keys.items():
+        if key in raw:
+            path = key if hint is BenchmarkConfig else f"{where}.{key}"
+            values[f.name] = _read(raw[key], hints[f.name], path)
+        elif f.default is MISSING and f.default_factory is MISSING:
             raise ValueError(f"missing key {key!r} in {where}")
-        value = raw.get(key, default)
-        path = key if kind is BenchmarkConfig else f"{where}.{key}"
-        values[name] = None if value is None and default is None else _read(value, sub, path)
-    return kind(**values) if kind is BenchmarkConfig else _named(where, kind, **values)
+    return hint(**values) if hint is BenchmarkConfig else _named(where, hint, **values)
 
 
 def benchmark_config_from_dict(raw: dict[str, Any]) -> BenchmarkConfig:

@@ -86,20 +86,26 @@ class Game:
         raise NotImplementedError
 
 
+def _by_mask(values: Mapping[int, float], d: int, what: str) -> dict[int, float]:
+    """``values`` as floats keyed by int masks below 2^d; a float or a Coalition key raises
+    ``TypeError``, a mask out of range or met twice ``ValueError``."""
+    clean: dict[int, float] = {}
+    for key, value in values.items():
+        mask = operator.index(key)
+        if mask < 0 or mask >> d:
+            raise ValueError(f"{what} mask {mask:#x} out of range for d={d}")
+        if mask in clean:
+            raise ValueError(f"duplicate {what} for mask {mask:#x}")
+        clean[mask] = float(value)
+    return clean
+
+
 class MobiusGame(Game):
     """Game given by interaction coefficients: value(S) = sum of coefficients on T subseteq S."""
 
     def __init__(self, d: int, terms: Mapping[int, float]) -> None:
         super().__init__(d)
-        clean: dict[int, float] = {}
-        for key, coef in terms.items():
-            mask = operator.index(key)  # an int mask; a float or a Coalition raises TypeError
-            if mask < 0 or mask >> d:
-                raise ValueError(f"term mask {mask:#x} out of range for d={d}")
-            if mask in clean:
-                raise ValueError(f"duplicate term for mask {mask:#x}")
-            clean[mask] = float(coef)
-        self.terms = clean
+        self.terms = _by_mask(terms, d, "term")
 
     def _value(self, mask: int) -> float:
         outside = ~mask
@@ -117,13 +123,9 @@ def mobius_exact_shapley(game: MobiusGame) -> np.ndarray:
     return fold(membership(masks, game.d), coefs)
 
 
-def make_random_game(d: int, max_order: int, n_terms: int, seed: int) -> MobiusGame:
-    """Random game with n_terms distinct coefficients on coalitions of size 1..max_order.
-
-    Coalitions are drawn uniformly over all candidates of the allowed sizes;
-    coefficients come from a standard normal stream. Fully determined by the
-    seed.
-    """
+def check_random_game(d: int, max_order: int, n_terms: int) -> None:
+    """``make_random_game``'s rule for its arguments: a ``ValueError`` unless it can draw
+    ``n_terms`` distinct coalitions of size 1..``max_order`` over ``d`` players."""
     _check_d(d)
     if not 1 <= max_order <= d:
         raise ValueError(f"max_order must be in [1, {d}], got {max_order}")
@@ -132,6 +134,16 @@ def make_random_game(d: int, max_order: int, n_terms: int, seed: int) -> MobiusG
         raise ValueError(
             f"n_terms must be in [1, {n_candidates}] for d={d}, max_order={max_order}"
         )
+
+
+def make_random_game(d: int, max_order: int, n_terms: int, seed: int) -> MobiusGame:
+    """Random game with n_terms distinct coefficients on coalitions of size 1..max_order.
+
+    Coalitions are drawn uniformly over all candidates of the allowed sizes;
+    coefficients come from a standard normal stream. Fully determined by the
+    seed.
+    """
+    check_random_game(d, max_order, n_terms)
     rng = np.random.default_rng(seed)
     sizes = np.arange(1, max_order + 1)
     size_weights = np.array([binomial(d, int(s)) for s in sizes], dtype=float)
@@ -154,7 +166,7 @@ class LookupGame(Game):
 
     def __init__(self, d: int, table: Mapping[int, float]) -> None:
         super().__init__(d)
-        self.table = {int(m): float(v) for m, v in table.items()}
+        self.table = _by_mask(table, d, "table")
 
     def _value(self, mask: int) -> float:
         try:

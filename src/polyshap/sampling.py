@@ -204,6 +204,9 @@ def save_batch(batch: SampleBatch, path: str) -> None:
 def load_batch(path: str) -> SampleBatch:
     header, d, rows = read_rows(path, 2)
     try:
+        odd_unpaired = header["odd_unpaired"]
+        if odd_unpaired not in ("0", "1"):
+            raise ValueError(f"odd_unpaired must be 0 or 1, got {odd_unpaired!r}")
         return SampleBatch(
             d=d,
             masks=[mask for mask, _ in rows],
@@ -212,7 +215,7 @@ def load_batch(path: str) -> SampleBatch:
             nu_empty=float(header["nu_empty"]),
             nu_full=float(header["nu_full"]),
             enumerated_sizes=frozenset(int(s) for s in header["enumerated_sizes"].split(",") if s),
-            odd_unpaired=bool(int(header["odd_unpaired"])),
+            odd_unpaired=odd_unpaired == "1",
         )
     except KeyError as exc:
         raise FileFormatError(path, f"missing header {exc}") from None

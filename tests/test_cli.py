@@ -243,13 +243,17 @@ class TestBenchmarkCommand:
              "games[1].d must be an integer, got 6.5"),
             (lambda raw: raw["methods"].append({"estimator": "polyshap", "frontier": "12"}),
              "methods[1]: k must be in [1, 5], got 12"),
+            (lambda raw: raw["games"][0].update(d=4, n_terms=500),
+             "games[0]: n_terms must be in [1, 10] for d=4, max_order=2"),
+            (lambda raw: raw["games"][0].pop("d"),
+             "games[0]: player count must be an integer in [1, 128], got 0"),
         ],
         ids=[
             "paired-string", "method-key", "game-key", "top-key", "k-zero", "no-instances",
             "frontier-word", "frontier-percent", "frontier-order", "percent-above", "percent-below",
             "frontier-number", "path-number",
             "d-float", "budget-float", "seed-bool", "permutation-frontier", "kernelshap-frontier",
-            "second-game-d-float", "second-method-frontier-order",
+            "second-game-d-float", "second-method-frontier-order", "random-n-terms", "random-no-d",
         ],
     )
     def test_bad_config_input_is_config_error(self, tmp_path, capsys, change, message):

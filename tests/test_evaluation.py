@@ -1,5 +1,5 @@
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -429,6 +429,16 @@ class TestConfigParsing:
         config = benchmark_config_from_dict(raw)
         assert config.games[0].instances == 2
         assert config.k_for_precision == 5
+
+    def test_full_config_names_every_field(self):
+        # so that test_wrong_json_type_is_value_error reaches every field of the schema
+        def keys(spec):
+            return {f.metadata.get("key", f.name) for f in fields(spec) if f.init}
+
+        raw = full_raw_config()
+        assert set(raw) == keys(BenchmarkConfig)
+        assert set(raw["games"][0]) == keys(GameSpec)
+        assert set(raw["methods"][0]) == keys(MethodSpec)
 
     def test_full_config_loads(self):
         config = benchmark_config_from_dict(full_raw_config())

@@ -59,7 +59,7 @@ FORMATS = {
         save_batch,
         2,
         ("# d=", "# nu_empty=", "# nu_full=", "# enumerated_sizes=", "# odd_unpaired="),
-        ("# enumerated_sizes=0,99", "# enumerated_sizes=6", "# enumerated_sizes=-1,2"),
+        ("# enumerated_sizes=0,99", "# enumerated_sizes=6", "# enumerated_sizes=-1,2", "# odd_unpaired=7"),
     ),
     "frontier": Format(
         ".txt",

@@ -56,6 +56,18 @@ class TestMobiusEvaluate:
         assert g.evaluate(Coalition(mask_of([0, 1]), 4)) == 1.0
 
 
+@pytest.mark.parametrize("cls", [MobiusGame, LookupGame])
+def test_table_keys_are_int_masks_in_range(cls):
+    game = cls(3, {np.int64(3): 1.0})
+    assert game.evaluate(Coalition(3, 3)) == 1.0
+    for key in (Coalition(3, 3), 1.5):
+        with pytest.raises(TypeError):
+            cls(3, {key: 1.0})
+    for key in (8, -1):
+        with pytest.raises(ValueError, match="out of range for d=3"):
+            cls(3, {key: 1.0})
+
+
 class TestMobiusExactShapley:
     def test_pair_term_splits(self):
         g = MobiusGame(3, {mask_of([0, 1]): 1.0})
